@@ -3,6 +3,7 @@
 //! query string from decoded parameters.
 
 use std::io;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::json::Json;
@@ -18,14 +19,20 @@ pub struct NodeResponse {
 }
 
 impl NodeResponse {
-    /// The body as UTF-8 (lossy — node bodies are our own JSON).
+    /// The body as text, lossily (for passing a node's answer through
+    /// or quoting it in an error).
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// The body parsed as JSON, if it parses.
+    /// The body borrowed as UTF-8, if it is.
+    pub fn utf8(&self) -> Option<&str> {
+        std::str::from_utf8(&self.body).ok()
+    }
+
+    /// The body parsed as JSON, if it is UTF-8 and parses.
     pub fn json(&self) -> Option<Json> {
-        Json::parse(&self.text()).ok()
+        Json::parse(self.utf8()?).ok()
     }
 }
 
@@ -37,8 +44,24 @@ pub fn request(
     body: &[u8],
     timeout: Duration,
 ) -> io::Result<NodeResponse> {
-    let (status, body) =
-        tix_server::http::client_request(addr, method, path_and_query, body, timeout)?;
+    receive(send(addr, method, path_and_query, body, timeout)?)
+}
+
+/// Send one request to `addr` without waiting for the answer; read it
+/// later with [`receive`].
+pub fn send(
+    addr: &str,
+    method: &str,
+    path_and_query: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> io::Result<TcpStream> {
+    tix_server::http::client_send(addr, method, path_and_query, body, timeout)
+}
+
+/// Read the full response to a request issued with [`send`].
+pub fn receive(stream: TcpStream) -> io::Result<NodeResponse> {
+    let (status, body) = tix_server::http::client_receive(stream)?;
     Ok(NodeResponse { status, body })
 }
 
@@ -76,6 +99,21 @@ pub fn encode_query(params: &[(&str, &str)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_utf8_body_is_not_json() {
+        let response = NodeResponse {
+            status: 200,
+            body: b"{\"name\":\"\xff\"}".to_vec(),
+        };
+        assert_eq!(response.utf8(), None);
+        assert_eq!(response.json(), None);
+        let valid = NodeResponse {
+            status: 200,
+            body: "{\"name\":\"é\"}".as_bytes().to_vec(),
+        };
+        assert_eq!(valid.json().unwrap().get("name").unwrap().str(), Some("é"));
+    }
 
     #[test]
     fn encoding_roundtrips_through_the_server_decoder() {

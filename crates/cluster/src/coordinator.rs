@@ -458,12 +458,112 @@ fn query_string(params: &[(String, String)]) -> String {
     client::encode_query(&borrowed)
 }
 
-/// Issue a **read** to one shard: caught-up replicas first (round-robin
-/// from the shard's cursor), primary last. Every attempt carries the
-/// shard's acked-LSN watermark as `min_lsn`; a replica that answers 403
-/// (behind the watermark) or fails at the transport level is skipped.
-/// Statuses other than 403 — including client errors — are returned
-/// as-is: they are real answers, not staleness.
+/// One shard's read: the request (its target carrying the shard's
+/// acked-LSN watermark as `min_lsn`) and the nodes to try, caught-up
+/// replicas first (round-robin from the shard's cursor), primary last.
+struct ShardRead<'a> {
+    shared: &'a Shared,
+    shard: usize,
+    method: &'a str,
+    path_and_query: String,
+    body: &'a [u8],
+    candidates: Vec<&'a str>,
+}
+
+impl<'a> ShardRead<'a> {
+    fn plan(
+        shared: &'a Shared,
+        shard: usize,
+        method: &'a str,
+        path: &str,
+        params: &[(String, String)],
+        body: &'a [u8],
+    ) -> Result<ShardRead<'a>, String> {
+        let group = match shared.topology.shards.get(shard) {
+            Some(group) => group,
+            None => return Err(format!("shard {shard} is not in the topology")),
+        };
+        let watermark = shared.watermarks[shard].load(Ordering::SeqCst);
+        let mut with_watermark = params.to_vec();
+        with_watermark.push(("min_lsn".to_string(), watermark.to_string()));
+        let path_and_query = format!("{path}?{}", query_string(&with_watermark));
+
+        let replica_count = group.replicas.len();
+        let start = if replica_count == 0 {
+            0
+        } else {
+            shared.rr[shard].fetch_add(1, Ordering::Relaxed) as usize % replica_count
+        };
+        let mut candidates: Vec<&str> = Vec::with_capacity(replica_count + 1);
+        for i in 0..replica_count {
+            candidates.push(group.replicas[(start + i) % replica_count].as_str());
+        }
+        candidates.push(group.primary.as_str());
+        Ok(ShardRead {
+            shared,
+            shard,
+            method,
+            path_and_query,
+            body,
+            candidates,
+        })
+    }
+
+    /// Send the request to candidate `attempt` without reading the answer.
+    fn send(&self, attempt: usize) -> std::io::Result<TcpStream> {
+        let metrics = &self.shared.metrics;
+        if attempt > 0 {
+            metrics.replica_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        metrics.fanout_requests.fetch_add(1, Ordering::Relaxed);
+        client::send(
+            self.candidates[attempt],
+            self.method,
+            &self.path_and_query,
+            self.body,
+            self.shared.timeout,
+        )
+    }
+
+    /// Read the shard's answer. `first` is the first candidate's request
+    /// if it is already on the wire. A candidate that fails at the
+    /// transport level or answers 403 (behind the watermark) is skipped
+    /// for the next. Statuses other than 403 — including client errors —
+    /// are returned as-is: they are real answers, not staleness.
+    fn finish(
+        &self,
+        mut first: Option<std::io::Result<TcpStream>>,
+    ) -> Result<client::NodeResponse, String> {
+        let metrics = &self.shared.metrics;
+        let mut errors = Vec::new();
+        for (attempt, addr) in self.candidates.iter().enumerate() {
+            let sent = match first.take() {
+                Some(sent) => sent,
+                None => self.send(attempt),
+            };
+            match sent.and_then(client::receive) {
+                Ok(response) if response.status == 403 => {
+                    // Behind the watermark (or refusing reads): route around.
+                    metrics.stale_retries.fetch_add(1, Ordering::Relaxed);
+                    errors.push(format!("{addr}: 403 {}", response.text()));
+                }
+                Ok(response) => return Ok(response),
+                Err(e) => {
+                    metrics.fanout_errors.fetch_add(1, Ordering::Relaxed);
+                    errors.push(format!("{addr}: {e}"));
+                }
+            }
+        }
+        Err(format!(
+            "shard {}: every node failed [{}]",
+            self.shard,
+            errors.join("; ")
+        ))
+    }
+}
+
+/// Issue a **read** to one shard, trying its candidates in order (see
+/// [`ShardRead`]).
 fn shard_read(
     shared: &Shared,
     shard: usize,
@@ -472,56 +572,7 @@ fn shard_read(
     params: &[(String, String)],
     body: &[u8],
 ) -> Result<client::NodeResponse, String> {
-    let group = match shared.topology.shards.get(shard) {
-        Some(group) => group,
-        None => return Err(format!("shard {shard} is not in the topology")),
-    };
-    let watermark = shared.watermarks[shard].load(Ordering::SeqCst);
-    let mut with_watermark = params.to_vec();
-    with_watermark.push(("min_lsn".to_string(), watermark.to_string()));
-    let path_and_query = format!("{path}?{}", query_string(&with_watermark));
-
-    let replica_count = group.replicas.len();
-    let start = if replica_count == 0 {
-        0
-    } else {
-        shared.rr[shard].fetch_add(1, Ordering::Relaxed) as usize % replica_count
-    };
-    let mut candidates: Vec<&str> = Vec::with_capacity(replica_count + 1);
-    for i in 0..replica_count {
-        candidates.push(group.replicas[(start + i) % replica_count].as_str());
-    }
-    candidates.push(group.primary.as_str());
-
-    let mut errors = Vec::new();
-    for (attempt, addr) in candidates.iter().enumerate() {
-        if attempt > 0 {
-            shared
-                .metrics
-                .replica_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        shared
-            .metrics
-            .fanout_requests
-            .fetch_add(1, Ordering::Relaxed);
-        match client::request(addr, method, &path_and_query, body, shared.timeout) {
-            Ok(response) if response.status == 403 => {
-                // Behind the watermark (or refusing reads): route around.
-                shared.metrics.stale_retries.fetch_add(1, Ordering::Relaxed);
-                errors.push(format!("{addr}: 403 {}", response.text()));
-            }
-            Ok(response) => return Ok(response),
-            Err(e) => {
-                shared.metrics.fanout_errors.fetch_add(1, Ordering::Relaxed);
-                errors.push(format!("{addr}: {e}"));
-            }
-        }
-    }
-    Err(format!(
-        "shard {shard}: every node failed [{}]",
-        errors.join("; ")
-    ))
+    ShardRead::plan(shared, shard, method, path, params, body)?.finish(None)
 }
 
 /// Issue a **write** to one shard's primary. On a 2xx ack, advance the
@@ -563,26 +614,57 @@ fn shard_write(
     }
 }
 
-/// Fan a read out to every shard in parallel, one thread per shard.
+/// Fan a `GET` out to every shard on the calling thread: send every
+/// shard's first candidate its request, then read the answers in shard
+/// order, falling back shard by shard as [`shard_read`] does. The shards
+/// work in parallel while the coordinator waits on the first answer; an
+/// answer larger than a socket buffer waits in the kernel until its turn.
 fn scatter_read(
     shared: &Shared,
     path: &str,
     params: &[(String, String)],
 ) -> Vec<Result<client::NodeResponse, String>> {
-    let shard_ids: Vec<usize> = (0..shared.topology.shard_count()).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_ids
-            .iter()
-            .map(|&shard| scope.spawn(move || shard_read(shared, shard, "GET", path, params, &[])))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("scatter worker panicked".to_string()))
-            })
-            .collect()
-    })
+    let reads: Vec<_> = (0..shared.topology.shard_count())
+        .map(|shard| ShardRead::plan(shared, shard, "GET", path, params, &[]))
+        .collect();
+    let sent: Vec<_> = reads
+        .iter()
+        .map(|read| read.as_ref().ok().map(|read| read.send(0)))
+        .collect();
+    reads
+        .into_iter()
+        .zip(sent)
+        .map(|(read, first)| read?.finish(first))
+        .collect()
+}
+
+/// Check and parse every shard's answer to a scatter. On the first
+/// failure, the response to send instead: a shard no node answered
+/// (502), a non-200 answer verbatim (shards agree on parameter
+/// validation, e.g. a 400 for an empty query), or a body that is not
+/// UTF-8 or does not parse as `endpoint`'s shape (502).
+fn gather<T>(
+    gathered: Vec<Result<client::NodeResponse, String>>,
+    endpoint: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<Vec<T>, Response> {
+    let mut shards = Vec::with_capacity(gathered.len());
+    for (shard, result) in gathered.into_iter().enumerate() {
+        let response = result.map_err(|e| Response::error(502, &e))?;
+        if response.status != 200 {
+            return Err(Response::json(response.status, response.text()));
+        }
+        match response.utf8().and_then(parse) {
+            Some(parsed) => shards.push(parsed),
+            None => {
+                return Err(Response::error(
+                    502,
+                    &format!("shard {shard}: unparseable {endpoint} response"),
+                ))
+            }
+        }
+    }
+    Ok(shards)
 }
 
 fn handle_search(shared: &Shared, request: &Request) -> Response {
@@ -596,29 +678,13 @@ fn handle_search(shared: &Shared, request: &Request) -> Response {
     let mut params = forward_params(request, &["q", "threshold", "fraction", "deadline_ms"]);
     params.push(("k".to_string(), k.to_string()));
     let gathered = scatter_read(shared, "/cluster/search", &params);
-    let mut shards = Vec::with_capacity(gathered.len());
-    for (shard, result) in gathered.into_iter().enumerate() {
-        let response = match result {
-            Ok(r) => r,
-            Err(e) => return Response::error(502, &e),
-        };
-        if response.status != 200 {
-            // Shards agree on parameter validation; surface the first
-            // non-200 verbatim (e.g. a 400 for an empty query).
-            return Response::json(response.status, response.text());
-        }
-        match merge::parse_shard_search(&response.text()) {
-            Some(parsed) => shards.push(parsed),
-            None => {
-                return Response::error(
-                    502,
-                    &format!("shard {shard}: unparseable /cluster/search response"),
-                )
-            }
-        }
+    match gather(gathered, "/cluster/search", merge::parse_shard_search) {
+        Ok(shards) => Response::json(
+            200,
+            merge::render_search_body(k, &merge::merge_search(&shards, k)),
+        ),
+        Err(response) => response,
     }
-    let merged = merge::merge_search(&shards, k);
-    Response::json(200, merge::render_search_body(k, &merged))
 }
 
 fn handle_phrase(shared: &Shared, request: &Request) -> Response {
@@ -627,27 +693,13 @@ fn handle_phrase(shared: &Shared, request: &Request) -> Response {
     }
     let params = forward_params(request, &["q", "deadline_ms"]);
     let gathered = scatter_read(shared, "/cluster/phrase", &params);
-    let mut shards = Vec::with_capacity(gathered.len());
-    for (shard, result) in gathered.into_iter().enumerate() {
-        let response = match result {
-            Ok(r) => r,
-            Err(e) => return Response::error(502, &e),
-        };
-        if response.status != 200 {
-            return Response::json(response.status, response.text());
-        }
-        match merge::parse_shard_phrase(&response.text()) {
-            Some(parsed) => shards.push(parsed),
-            None => {
-                return Response::error(
-                    502,
-                    &format!("shard {shard}: unparseable /cluster/phrase response"),
-                )
-            }
-        }
+    match gather(gathered, "/cluster/phrase", merge::parse_shard_phrase) {
+        Ok(shards) => Response::json(
+            200,
+            merge::render_phrase_body(&merge::merge_phrase(&shards)),
+        ),
+        Err(response) => response,
     }
-    let merged = merge::merge_phrase(&shards);
-    Response::json(200, merge::render_phrase_body(&merged))
 }
 
 /// Route a dialect query by its `For`-clause document names. All the
@@ -1002,6 +1054,36 @@ mod tests {
         assert_eq!(workers.get("busy").unwrap().u64(), Some(4));
         assert_eq!(workers.get("total").unwrap().u64(), Some(8));
         assert_eq!(workers.get("utilization").unwrap().f64(), Some(0.5));
+    }
+
+    #[test]
+    fn gather_refuses_a_non_utf8_shard_body() {
+        let ok = "{\"applied_lsn\":1,\"bound_bits\":null,\"results\":[]}";
+        let answer = |body: &[u8]| {
+            Ok(client::NodeResponse {
+                status: 200,
+                body: body.to_vec(),
+            })
+        };
+        let shards = gather(
+            vec![answer(ok.as_bytes())],
+            "/cluster/search",
+            merge::parse_shard_search,
+        )
+        .unwrap_or_else(|r| panic!("{}", r.status));
+        assert_eq!(shards[0].applied_lsn, 1);
+        // A byte that is not UTF-8 inside a hit's text: a failed shard,
+        // not a parse of U+FFFD.
+        let bad = b"{\"applied_lsn\":1,\"bound_bits\":null,\"results\":[{\"name\":\"d.xml\",\"node_idx\":0,\"score_bits\":0,\"tag\":null,\"text\":\"\xff\"}]}";
+        let refused = gather(
+            vec![answer(ok.as_bytes()), answer(bad)],
+            "/cluster/search",
+            merge::parse_shard_search,
+        )
+        .err()
+        .unwrap();
+        assert_eq!(refused.status, 502);
+        assert!(String::from_utf8_lossy(&refused.body).contains("shard 1"));
     }
 
     #[test]

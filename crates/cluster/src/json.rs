@@ -252,13 +252,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences arrive
-                // pre-validated: the input is a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err("string is not UTF-8", *pos))?;
-                let c = rest.chars().next().ok_or_else(|| err("empty char", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. ASCII delimiters are always char boundaries, so
+                // every byte of the document is validated exactly once.
+                let start = *pos;
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| start + run);
+                let run = std::str::from_utf8(&bytes[start..end])
+                    .map_err(|_| err("string is not UTF-8", start))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -349,6 +354,24 @@ mod tests {
         let parsed = Json::parse(doc).unwrap();
         assert_eq!(parsed.get("text").unwrap().str(), Some("a\"b\\c\nd\u{1}"));
         assert_eq!(parsed.render(), doc);
+    }
+
+    #[test]
+    fn multi_mib_string_parses_in_linear_time() {
+        // 1-, 2-, 3- and 4-byte characters between every escape the
+        // renderer emits. A reader that re-validates the rest of the
+        // document per character needs hours for this; a linear one
+        // well under a second, even unoptimized.
+        let chunk = "ab é€𝄞\"\\\n\r\t\u{1}\u{1f}z";
+        let text = chunk.repeat((4 << 20) / chunk.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let doc = Json::Obj(vec![("text".to_string(), Json::Str(text.clone()))]).render();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("text").unwrap().str(), Some(text.as_str()));
+        assert_eq!(parsed.render(), doc);
+        assert!(elapsed.as_secs() < 5, "parse took {elapsed:?}");
     }
 
     #[test]

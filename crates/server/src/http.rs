@@ -380,7 +380,9 @@ pub fn reason(status: u16) -> &'static str {
 /// WAL pulls, the coordinator's scatter-gather fan-out). Sends
 /// `Connection: close` and reads the peer's response to EOF, so no
 /// keep-alive state is ever shared between requests. Returns the status
-/// code and the raw body bytes.
+/// code and the raw body bytes. The two halves, [`client_send`] and
+/// [`client_receive`], let a caller put several requests on the wire
+/// before it reads any answer.
 pub fn client_request(
     addr: &str,
     method: &str,
@@ -388,6 +390,18 @@ pub fn client_request(
     body: &[u8],
     timeout: std::time::Duration,
 ) -> io::Result<(u16, Vec<u8>)> {
+    client_receive(client_send(addr, method, path, body, timeout)?)
+}
+
+/// Connect to `addr` and send one request — head and body in a single
+/// write, with Nagle off. The returned stream carries the response.
+pub fn client_send(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: std::time::Duration,
+) -> io::Result<std::net::TcpStream> {
     use std::net::{TcpStream, ToSocketAddrs};
 
     let sock = addr
@@ -397,13 +411,20 @@ pub fn client_request(
     let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write!(
-        stream,
+    stream.set_nodelay(true)?;
+    let mut message = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
+    Ok(stream)
+}
+
+/// Read the response to a request sent with [`client_send`] to EOF:
+/// the status code and the raw body bytes.
+pub fn client_receive(mut stream: std::net::TcpStream) -> io::Result<(u16, Vec<u8>)> {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let header_end = raw
@@ -522,6 +543,52 @@ mod tests {
         assert!(matches!(err, ParseError::ConnectionClosed), "{err}");
         let err = parse(b"").unwrap_err();
         assert!(matches!(err, ParseError::ConnectionClosed), "{err}");
+    }
+
+    /// The exact bytes `client_request` puts on the wire for one request,
+    /// captured by a loopback listener that then answers `200 ok`.
+    fn sent_bytes(method: &str, path: &str, body: &[u8]) -> (String, Vec<u8>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let body_len = body.len();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut raw = Vec::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n");
+                if head_end.is_some_and(|end| raw.len() >= end + 4 + body_len) {
+                    break;
+                }
+                match stream.read(&mut chunk).unwrap() {
+                    0 => break,
+                    n => raw.extend_from_slice(&chunk[..n]),
+                }
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok")
+                .unwrap();
+            raw
+        });
+        let answer =
+            client_request(&addr, method, path, body, std::time::Duration::from_secs(5)).unwrap();
+        assert_eq!(answer, (200, b"ok".to_vec()));
+        (addr, peer.join().unwrap())
+    }
+
+    #[test]
+    fn client_request_wire_format() {
+        let (addr, raw) = sent_bytes("GET", "/cluster/search?q=a%20b&k=10", b"");
+        let expected = format!(
+            "GET /cluster/search?q=a%20b&k=10 HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+        assert_eq!(String::from_utf8(raw).unwrap(), expected);
+
+        let (addr, raw) = sent_bytes("POST", "/documents?name=d.xml", b"<d><p>x</p></d>");
+        let expected = format!(
+            "POST /documents?name=d.xml HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 15\r\nConnection: close\r\n\r\n<d><p>x</p></d>"
+        );
+        assert_eq!(String::from_utf8(raw).unwrap(), expected);
     }
 
     #[test]
