@@ -22,19 +22,18 @@
 //! * **`/health`** (alias `/status`) fans `/health` out to every node
 //!   and reports per-node role, generation, and applied LSN.
 //!
-//! The front door reuses the serving tier's admission discipline: a
-//! bounded queue ahead of a fixed worker pool, saturation answered with
-//! `503` + `Retry-After` at the accept loop.
+//! The coordinator is a handler on the serving tier's front door
+//! ([`tix_server::front`]): it uses the same bind, bounded admission
+//! queue, worker pool, 503s and admission counters as every node.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tix_server::http::{self, Limits, Request, Response};
-use tix_server::metrics::{LatencyHistogram, BUCKETS};
-use tix_server::queue::{BoundedQueue, PushError};
+use tix_server::front::FrontDoor;
+use tix_server::http::{Limits, Request, Response};
+use tix_server::metrics::{quantile_of, AdmissionMetrics, BUCKETS};
 use tix_server::render;
 
 use crate::client;
@@ -73,9 +72,8 @@ impl Default for CoordinatorConfig {
 /// nodes and are merged into `/metrics` at read time).
 #[derive(Debug)]
 struct CoMetrics {
-    requests_total: AtomicU64,
-    responses_by_class: [AtomicU64; 5],
-    rejected_saturated: AtomicU64,
+    /// Admission, status and latency counters kept by the front door.
+    admission: Arc<AdmissionMetrics>,
     /// Individual node calls issued during fan-outs.
     fanout_requests: AtomicU64,
     /// Node calls that failed at the transport level.
@@ -93,19 +91,12 @@ struct CoMetrics {
     health: AtomicU64,
     metrics: AtomicU64,
     other: AtomicU64,
-    latency: LatencyHistogram,
-    queue_wait: LatencyHistogram,
-    queue_depth: AtomicUsize,
-    workers_busy: AtomicUsize,
-    workers_total: usize,
 }
 
 impl CoMetrics {
     fn new(workers_total: usize) -> Self {
         CoMetrics {
-            requests_total: AtomicU64::new(0),
-            responses_by_class: Default::default(),
-            rejected_saturated: AtomicU64::new(0),
+            admission: Arc::new(AdmissionMetrics::new(workers_total)),
             fanout_requests: AtomicU64::new(0),
             fanout_errors: AtomicU64::new(0),
             stale_retries: AtomicU64::new(0),
@@ -118,23 +109,12 @@ impl CoMetrics {
             health: AtomicU64::new(0),
             metrics: AtomicU64::new(0),
             other: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-            queue_wait: LatencyHistogram::default(),
-            queue_depth: AtomicUsize::new(0),
-            workers_busy: AtomicUsize::new(0),
-            workers_total,
-        }
-    }
-
-    fn record_status(&self, status: u16) {
-        let class = usize::from(status / 100).saturating_sub(1);
-        if let Some(slot) = self.responses_by_class.get(class) {
-            slot.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn to_json(&self) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let a = &*self.admission;
         format!(
             concat!(
                 "{{\"requests_total\":{},",
@@ -146,13 +126,13 @@ impl CoMetrics {
                 "\"workers\":{{\"busy\":{},\"total\":{}}},",
                 "\"latency\":{}}}"
             ),
-            load(&self.requests_total),
-            load(&self.responses_by_class[0]),
-            load(&self.responses_by_class[1]),
-            load(&self.responses_by_class[2]),
-            load(&self.responses_by_class[3]),
-            load(&self.responses_by_class[4]),
-            load(&self.rejected_saturated),
+            load(&a.requests_total),
+            load(&a.responses_by_class[0]),
+            load(&a.responses_by_class[1]),
+            load(&a.responses_by_class[2]),
+            load(&a.responses_by_class[3]),
+            load(&a.responses_by_class[4]),
+            load(&a.rejected_saturated),
             load(&self.fanout_requests),
             load(&self.fanout_errors),
             load(&self.stale_retries),
@@ -165,18 +145,13 @@ impl CoMetrics {
             load(&self.health),
             load(&self.metrics),
             load(&self.other),
-            self.queue_depth.load(Ordering::Relaxed),
-            self.queue_wait.to_json(),
-            self.workers_busy.load(Ordering::Relaxed),
-            self.workers_total,
-            self.latency.to_json(),
+            a.queue_depth.load(Ordering::Relaxed),
+            a.queue_wait.to_json(),
+            a.workers_busy.load(Ordering::Relaxed),
+            a.workers_total,
+            a.latency.to_json(),
         )
     }
-}
-
-struct Job {
-    stream: TcpStream,
-    admitted: Instant,
 }
 
 struct Shared {
@@ -186,28 +161,20 @@ struct Shared {
     watermarks: Vec<AtomicU64>,
     /// Per-shard round-robin cursor over replicas.
     rr: Vec<AtomicU64>,
-    queue: BoundedQueue<Job>,
     metrics: CoMetrics,
-    limits: Limits,
     timeout: Duration,
-    shutdown: AtomicBool,
 }
 
 /// A running coordinator.
 pub struct Coordinator {
-    addr: SocketAddr,
+    front: FrontDoor,
     shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl Coordinator {
-    /// Bind, seed the read watermarks from each primary's current
-    /// applied LSN (best-effort), and start serving.
+    /// Seed the read watermarks from each primary's current applied LSN
+    /// (best-effort), bind, and start serving.
     pub fn start(topology: Topology, config: CoordinatorConfig) -> std::io::Result<Coordinator> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let timeout = Duration::from_millis(config.fanout_timeout_ms.max(1));
         let watermarks: Vec<AtomicU64> = topology
             .shards
@@ -228,32 +195,25 @@ impl Coordinator {
             rr: topology.shards.iter().map(|_| AtomicU64::new(0)).collect(),
             watermarks,
             topology,
-            queue: BoundedQueue::new(config.queue_capacity),
-            metrics: CoMetrics::new(workers),
-            limits: Limits {
+            metrics: CoMetrics::new(config.workers),
+            timeout,
+        });
+        let handler_shared = Arc::clone(&shared);
+        let front = FrontDoor::start(
+            &config.addr,
+            config.queue_capacity,
+            Limits {
                 max_body: config.max_body,
             },
-            timeout,
-            shutdown: AtomicBool::new(false),
-        });
-        let mut worker_threads = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            worker_threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        let accept_shared = Arc::clone(&shared);
-        let listener_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
-        Ok(Coordinator {
-            addr,
-            shared,
-            listener_thread: Some(listener_thread),
-            worker_threads,
-        })
+            Arc::clone(&shared.metrics.admission),
+            move |request, _| respond(&handler_shared, request),
+        )?;
+        Ok(Coordinator { front, shared })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The coordinator's own metrics document (the `"coordinator"`
@@ -272,110 +232,14 @@ impl Coordinator {
     }
 
     /// Graceful shutdown: refuse new connections, drain, join.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
-        self.shared.queue.close();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        self.front.shutdown();
     }
 
     /// Serve until the process exits (the CLI's main loop).
-    pub fn join(mut self) {
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
-        self.shared.queue.close();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        self.front.join();
     }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            refuse(shared, stream, "coordinator is shutting down", false);
-            break;
-        }
-        shared
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            stream,
-            admitted: Instant::now(),
-        };
-        match shared.queue.try_push(job) {
-            Ok(depth) => shared.metrics.queue_depth.store(depth, Ordering::Relaxed),
-            Err(PushError::Full(job)) => {
-                shared
-                    .metrics
-                    .rejected_saturated
-                    .fetch_add(1, Ordering::Relaxed);
-                refuse(shared, job.stream, "admission queue full", true);
-            }
-            Err(PushError::Closed(job)) => {
-                refuse(shared, job.stream, "coordinator is shutting down", false);
-            }
-        }
-    }
-}
-
-fn refuse(shared: &Shared, mut stream: TcpStream, message: &str, retryable: bool) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut response = Response::error(503, message);
-    if retryable {
-        response = response.with_header("Retry-After", "1".to_string());
-    }
-    shared.metrics.record_status(503);
-    let _ = response.write_to(&mut stream);
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared
-            .metrics
-            .queue_depth
-            .store(shared.queue.len(), Ordering::Relaxed);
-        shared.metrics.queue_wait.record(job.admitted.elapsed());
-        shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-        // Defense in depth, same as the shard server: one panicking
-        // request must not take a worker down.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(shared, job);
-        }));
-        if result.is_err() {
-            shared.metrics.record_status(500);
-        }
-        shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn handle_connection(shared: &Shared, job: Job) {
-    let Job { stream, admitted } = job;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(reader_half);
-    let mut stream = stream;
-    let response = match http::read_request(&mut reader, &shared.limits) {
-        Ok(request) => respond(shared, &request),
-        Err(e) => {
-            let (status, _) = e.status();
-            Response::error(status, &e.to_string())
-        }
-    };
-    shared.metrics.record_status(response.status);
-    shared.metrics.latency.record(admitted.elapsed());
-    let _ = response.write_to(&mut stream);
 }
 
 fn bump(counter: &AtomicU64) {
@@ -994,23 +858,6 @@ fn fixup_derived(value: &mut Json) {
     for (_, child) in pairs.iter_mut() {
         fixup_derived(child);
     }
-}
-
-/// The same upper-bucket-bound quantile the per-node histogram reports,
-/// over merged buckets.
-fn quantile_of(buckets: &[u64], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &bucket) in buckets.iter().enumerate() {
-        seen += bucket;
-        if seen >= rank {
-            return 2u64.saturating_pow(u32::try_from(i + 1).unwrap_or(u32::MAX));
-        }
-    }
-    2u64.saturating_pow(buckets.len() as u32)
 }
 
 #[cfg(test)]

@@ -28,12 +28,13 @@ pub const FLOAT_EQ_CRATES: &[&str] = &[
 pub const DOC_CRATES: &[&str] = &["core", "exec"];
 
 /// Crates allowed to spawn threads: `parallel` (the document-partitioned
-/// access methods), `server` (its accept loop and worker pool are
-/// long-lived service threads, not data-parallel workers — routing them
-/// through `parallel_map` would serialize the pool behind one call), and
-/// `cluster` (the coordinator's worker pool plus scoped per-shard
-/// fan-out threads, which are I/O-bound waits, not compute).
-pub const SPAWN_EXEMPT_CRATES: &[&str] = &["parallel", "server", "cluster"];
+/// access methods) and `server` (the front door's accept loop and worker
+/// pool, and a node's replication and flusher loops, are long-lived
+/// service threads, not data-parallel workers — routing them through
+/// `parallel_map` would serialize the pool behind one call). `cluster`
+/// spawns nothing: the coordinator serves on the server's front door and
+/// scatters from the worker thread that took the request.
+pub const SPAWN_EXEMPT_CRATES: &[&str] = &["parallel", "server"];
 
 /// Crates whose request-path collections must be bounded
 /// (`no-unbounded-channel`): a queue that grows with client demand is a

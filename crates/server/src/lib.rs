@@ -8,7 +8,10 @@
 //!
 //! * **Bounded admission** — a fixed worker pool behind a fixed-capacity
 //!   queue; saturation answers `503` + `Retry-After` at the accept loop
-//!   instead of buffering without bound ([`queue`]).
+//!   instead of buffering without bound. This front door ([`front`],
+//!   over [`queue`]) is generic over its request handler; the cluster
+//!   coordinator in `tix-cluster` serves through the same code with its
+//!   own handler.
 //! * **Deadlines** — every request carries a deadline (default or
 //!   `deadline_ms`), checked cooperatively between the pipeline's operator
 //!   stages; expiry answers `504` and stops paying for dead work.
@@ -19,8 +22,9 @@
 //! * **Live metrics** — counters, queue-depth and worker-utilization
 //!   gauges, and log-bucketed latency histograms with p50/p95/p99, as the
 //!   JSON `/metrics` document ([`metrics`]).
-//! * **Graceful shutdown** — refuse new connections, drain the admitted
-//!   queue, finish in-flight requests, join every thread.
+//! * **Graceful shutdown** — answer new connections `503` while the
+//!   admitted queue drains and in-flight requests finish, then close the
+//!   listener and join every thread.
 //!
 //! ## Endpoints
 //!
@@ -65,6 +69,7 @@
 //! ```
 
 pub mod cache;
+pub mod front;
 pub mod http;
 pub mod metrics;
 pub mod queue;

@@ -4,11 +4,31 @@
 //! a handful of `fetch_add`s, never a lock.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Number of log₂ latency buckets: bucket `i` covers `[2^i, 2^(i+1))`
 /// microseconds, so 40 buckets span 1 µs to ~13 days.
 pub const BUCKETS: usize = 40;
+
+/// The `q`-quantile (`0.0..=1.0`) of `total` samples spread over log₂
+/// `buckets`, as the upper bound of the bucket where the cumulative count
+/// crosses it. 0 with no samples. One function serves a node's live
+/// histogram and the coordinator's bucket-wise merge of many.
+pub fn quantile_of(buckets: &[u64], total: u64, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &bucket) in buckets.iter().enumerate() {
+        seen += bucket;
+        if seen >= rank {
+            return 2u64.saturating_pow(u32::try_from(i + 1).unwrap_or(u32::MAX));
+        }
+    }
+    2u64.saturating_pow(u32::try_from(buckets.len()).unwrap_or(u32::MAX))
+}
 
 /// A log₂-bucketed latency histogram with atomic buckets.
 ///
@@ -63,19 +83,7 @@ impl LatencyHistogram {
     /// of the bucket where the cumulative count crosses it. 0 with no
     /// samples.
     pub fn quantile_micros(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return 2u64.saturating_pow(u32::try_from(i + 1).unwrap_or(u32::MAX));
-            }
-        }
-        2u64.saturating_pow(BUCKETS as u32)
+        quantile_of(&self.bucket_counts(), self.count(), q)
     }
 
     /// A snapshot of the raw bucket counts, index `i` covering
@@ -109,6 +117,58 @@ impl LatencyHistogram {
     }
 }
 
+/// What the front door ([`crate::front`]) counts for every connection it
+/// admits or refuses. The node's [`Metrics`] and the coordinator's
+/// registry each hold one and render it into their own `/metrics`
+/// documents.
+#[derive(Debug)]
+pub struct AdmissionMetrics {
+    /// Connections accepted (includes ones refused with 503, and ones
+    /// that later fail parsing or time out).
+    pub requests_total: AtomicU64,
+    /// Responses by status class: index 0 ↔ 1xx, … index 4 ↔ 5xx.
+    pub responses_by_class: [AtomicU64; 5],
+    /// 503s sent because the admission queue was full.
+    pub rejected_saturated: AtomicU64,
+    /// 503s sent because the server was shutting down.
+    pub rejected_shutdown: AtomicU64,
+    /// Current admission-queue depth (gauge).
+    pub queue_depth: AtomicUsize,
+    /// Workers currently handling a request (gauge).
+    pub workers_busy: AtomicUsize,
+    /// Size of the worker pool (constant, minimum 1).
+    pub workers_total: usize,
+    /// End-to-end latency (admission to response written).
+    pub latency: LatencyHistogram,
+    /// Time spent queued before a worker picked the request up.
+    pub queue_wait: LatencyHistogram,
+}
+
+impl AdmissionMetrics {
+    /// Zeroed counters for a pool of `workers_total` workers (minimum 1).
+    pub fn new(workers_total: usize) -> Self {
+        AdmissionMetrics {
+            requests_total: AtomicU64::new(0),
+            responses_by_class: Default::default(),
+            rejected_saturated: AtomicU64::new(0),
+            rejected_shutdown: AtomicU64::new(0),
+            queue_depth: AtomicUsize::new(0),
+            workers_busy: AtomicUsize::new(0),
+            workers_total: workers_total.max(1),
+            latency: LatencyHistogram::default(),
+            queue_wait: LatencyHistogram::default(),
+        }
+    }
+
+    /// Count one response with `status`.
+    pub fn record_status(&self, status: u16) {
+        let class = usize::from(status / 100).saturating_sub(1);
+        if let Some(slot) = self.responses_by_class.get(class) {
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Per-endpoint request counter set.
 #[derive(Debug, Default)]
 pub struct EndpointCounters {
@@ -137,18 +197,11 @@ pub struct EndpointCounters {
 }
 
 /// The registry behind `/metrics`. One instance per server, shared by the
-/// accept loop and every worker.
+/// front door (through [`Metrics::admission`]) and every handler.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Requests admitted past the accept loop (includes ones that later
-    /// fail parsing or time out).
-    pub requests_total: AtomicU64,
-    /// Responses by status class: index 0 ↔ 1xx, … index 4 ↔ 5xx.
-    pub responses_by_class: [AtomicU64; 5],
-    /// 503s sent because the admission queue was full.
-    pub rejected_saturated: AtomicU64,
-    /// 503s sent because the server was shutting down.
-    pub rejected_shutdown: AtomicU64,
+    /// Admission, status and latency counters kept by the front door.
+    pub admission: Arc<AdmissionMetrics>,
     /// 504s sent because a deadline expired.
     pub deadline_expired: AtomicU64,
     /// Documents ingested through `POST /documents`.
@@ -189,28 +242,15 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Result-cache misses.
     pub cache_misses: AtomicU64,
-    /// Current admission-queue depth (gauge).
-    pub queue_depth: AtomicUsize,
-    /// Workers currently handling a request (gauge).
-    pub workers_busy: AtomicUsize,
-    /// Size of the worker pool (constant).
-    pub workers_total: usize,
     /// Per-endpoint request counts.
     pub endpoints: EndpointCounters,
-    /// End-to-end latency (admission to response flushed).
-    pub latency: LatencyHistogram,
-    /// Time spent queued before a worker picked the request up.
-    pub queue_wait: LatencyHistogram,
 }
 
 impl Metrics {
     /// A zeroed registry for a pool of `workers_total` workers.
     pub fn new(workers_total: usize) -> Self {
         Metrics {
-            requests_total: AtomicU64::new(0),
-            responses_by_class: Default::default(),
-            rejected_saturated: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
+            admission: Arc::new(AdmissionMetrics::new(workers_total)),
             deadline_expired: AtomicU64::new(0),
             ingest_inserts: AtomicU64::new(0),
             ingest_removes: AtomicU64::new(0),
@@ -227,32 +267,16 @@ impl Metrics {
             stale_rejects: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            workers_busy: AtomicUsize::new(0),
-            workers_total,
             endpoints: EndpointCounters::default(),
-            latency: LatencyHistogram::default(),
-            queue_wait: LatencyHistogram::default(),
-        }
-    }
-
-    /// Count one response with `status`.
-    pub fn record_status(&self, status: u16) {
-        let class = usize::from(status / 100).saturating_sub(1);
-        if let Some(slot) = self.responses_by_class.get(class) {
-            slot.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Render the whole registry as the `/metrics` JSON document.
     pub fn to_json(&self) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let busy = self.workers_busy.load(Ordering::Relaxed);
-        let utilization = if self.workers_total == 0 {
-            0.0
-        } else {
-            busy as f64 / self.workers_total as f64
-        };
+        let a = &*self.admission;
+        let busy = a.workers_busy.load(Ordering::Relaxed);
+        let utilization = busy as f64 / a.workers_total as f64;
         format!(
             concat!(
                 "{{\"requests_total\":{},",
@@ -269,14 +293,14 @@ impl Metrics {
                 "\"endpoints\":{{\"search\":{},\"phrase\":{},\"batch\":{},\"query\":{},\"documents\":{},\"health\":{},\"metrics\":{},\"explain\":{},\"wal\":{},\"cluster\":{},\"other\":{}}},",
                 "\"latency\":{}}}"
             ),
-            load(&self.requests_total),
-            load(&self.responses_by_class[0]),
-            load(&self.responses_by_class[1]),
-            load(&self.responses_by_class[2]),
-            load(&self.responses_by_class[3]),
-            load(&self.responses_by_class[4]),
-            load(&self.rejected_saturated),
-            load(&self.rejected_shutdown),
+            load(&a.requests_total),
+            load(&a.responses_by_class[0]),
+            load(&a.responses_by_class[1]),
+            load(&a.responses_by_class[2]),
+            load(&a.responses_by_class[3]),
+            load(&a.responses_by_class[4]),
+            load(&a.rejected_saturated),
+            load(&a.rejected_shutdown),
             load(&self.deadline_expired),
             load(&self.ingest_inserts),
             load(&self.ingest_removes),
@@ -294,10 +318,10 @@ impl Metrics {
             load(&self.stale_rejects),
             load(&self.cache_hits),
             load(&self.cache_misses),
-            self.queue_depth.load(Ordering::Relaxed),
-            self.queue_wait.to_json(),
+            a.queue_depth.load(Ordering::Relaxed),
+            a.queue_wait.to_json(),
             busy,
-            self.workers_total,
+            a.workers_total,
             utilization,
             load(&self.endpoints.search),
             load(&self.endpoints.phrase),
@@ -310,7 +334,7 @@ impl Metrics {
             load(&self.endpoints.wal),
             load(&self.endpoints.cluster),
             load(&self.endpoints.other),
-            self.latency.to_json(),
+            a.latency.to_json(),
         )
     }
 }
@@ -374,7 +398,7 @@ mod tests {
 
     #[test]
     fn status_classes_counted() {
-        let m = Metrics::new(4);
+        let m = AdmissionMetrics::new(4);
         m.record_status(200);
         m.record_status(201);
         m.record_status(404);
@@ -387,9 +411,9 @@ mod tests {
     #[test]
     fn json_document_shape() {
         let m = Metrics::new(2);
-        m.requests_total.fetch_add(3, Ordering::Relaxed);
-        m.record_status(200);
-        m.latency.record(Duration::from_millis(5));
+        m.admission.requests_total.fetch_add(3, Ordering::Relaxed);
+        m.admission.record_status(200);
+        m.admission.latency.record(Duration::from_millis(5));
         let json = m.to_json();
         for key in [
             "\"requests_total\":3",

@@ -60,6 +60,13 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
+    /// Has [`BoundedQueue::close`] been called? (Lets the front door's
+    /// tests wait for a shutdown to start.)
+    #[cfg(test)]
+    pub(crate) fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
     fn lock(&self) -> MutexGuard<'_, State<T>> {
         // A poisoning panic elsewhere must not wedge the server; the state
         // (a VecDeque and a bool) is valid at every await point.

@@ -1,9 +1,9 @@
-//! The serving core: accept loop, bounded admission, fixed worker pool,
-//! request routing, deadlines, the generation-keyed result cache, and
-//! graceful shutdown.
+//! The query node: its handler on the [front door](crate::front) —
+//! request routing, deadlines, the generation-keyed result cache, the
+//! write path — plus the replication and flusher threads, and graceful
+//! shutdown.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -16,9 +16,9 @@ use tix::{normalize_query, Database};
 use tix_ingest::{DurabilityMode, Ingest, IngestError, IngestOptions};
 
 use crate::cache::{QueryKey, QueryKind, ResultCache};
+use crate::front::FrontDoor;
 use crate::http::{self, Limits, Request, Response};
 use crate::metrics::Metrics;
-use crate::queue::{BoundedQueue, PushError};
 use crate::render;
 
 /// Most queries accepted in one `/search/batch` request.
@@ -100,13 +100,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted connection waiting for a worker.
-struct Job {
-    stream: TcpStream,
-    admitted: Instant,
-}
-
-/// State shared by the accept loop and every worker.
+/// State shared by the handler, the replication loop and the flusher.
 ///
 /// Write-path discipline: a mutation **stages** (applies to the database
 /// and reserves its WAL frame) under the `db` write lock — the lock is
@@ -130,10 +124,9 @@ struct Shared {
     checkpoint_health: Mutex<Option<String>>,
     cache: Mutex<ResultCache>,
     metrics: Metrics,
-    queue: BoundedQueue<Job>,
-    limits: Limits,
     default_deadline: Duration,
     debug_endpoints: bool,
+    /// Stops the replication and flusher loops.
     shutdown: AtomicBool,
     role: ServerRole,
     /// The last applied LSN, mirrored out of the ingest engine so read
@@ -177,10 +170,8 @@ impl Shared {
 /// [`Server::shutdown`] for a graceful stop or [`Server::join`] to serve
 /// until the process exits.
 pub struct Server {
-    addr: SocketAddr,
+    front: FrontDoor,
     shared: Arc<Shared>,
-    listener_thread: Option<std::thread::JoinHandle<()>>,
-    worker_threads: Vec<std::thread::JoinHandle<()>>,
     replication_thread: Option<std::thread::JoinHandle<()>>,
     /// Under [`DurabilityMode::Batched`]: fsyncs frames whose deadline
     /// passed without a foreground commit doing it first.
@@ -254,9 +245,6 @@ impl Server {
             db.build_index();
         }
         db.set_threads(config.request_threads.max(1));
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let (applied_lsn, checkpoint_seq, wal_len, durable_lsn) = ingest
             .as_ref()
             .map(|i| {
@@ -273,11 +261,7 @@ impl Server {
             ingest,
             checkpoint_health: Mutex::new(None),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            metrics: Metrics::new(workers),
-            queue: BoundedQueue::new(config.queue_capacity),
-            limits: Limits {
-                max_body: config.max_body,
-            },
+            metrics: Metrics::new(config.workers),
             default_deadline: Duration::from_millis(config.default_deadline_ms.max(1)),
             debug_endpoints: config.debug_endpoints,
             shutdown: AtomicBool::new(false),
@@ -288,13 +272,16 @@ impl Server {
             durable_lsn: AtomicU64::new(durable_lsn),
         });
 
-        let mut worker_threads = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            worker_threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        let accept_shared = Arc::clone(&shared);
-        let listener_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
+        let handler_shared = Arc::clone(&shared);
+        let front = FrontDoor::start(
+            &config.addr,
+            config.queue_capacity,
+            Limits {
+                max_body: config.max_body,
+            },
+            Arc::clone(&shared.metrics.admission),
+            move |request, admitted| handle(&handler_shared, request, admitted),
+        )?;
         let replication_thread = primary.map(|primary| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || replication_loop(&shared, &primary))
@@ -310,10 +297,8 @@ impl Server {
         };
 
         Ok(Server {
-            addr,
+            front,
             shared,
-            listener_thread: Some(listener_thread),
-            worker_threads,
             replication_thread,
             flusher_thread,
         })
@@ -321,7 +306,7 @@ impl Server {
 
     /// The bound address (with the actual port when 0 was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The current `/metrics` document, without a request.
@@ -369,44 +354,32 @@ impl Server {
         f(&mut db)
     }
 
-    /// Graceful shutdown: refuse new connections, drain the admission
-    /// queue, finish in-flight requests, join every thread.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a no-op connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
-        // The listener no longer admits; close the queue so workers drain
-        // the remaining jobs and exit.
-        self.shared.queue.close();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.replication_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.flusher_thread.take() {
+    /// Graceful shutdown: signal the replication and flusher loops, drain
+    /// the front door (new connections are answered 503 while admitted
+    /// requests finish), join every thread, then flush ingest.
+    pub fn shutdown(self) {
+        let Server {
+            front,
+            shared,
+            replication_thread,
+            flusher_thread,
+        } = self;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        front.shutdown();
+        for handle in [replication_thread, flusher_thread].into_iter().flatten() {
             let _ = handle.join();
         }
         // Leave nothing riding on the next timer tick: a clean shutdown
         // makes every acknowledged mutation durable, whatever the mode.
-        if let Some(ingest) = &self.shared.ingest {
+        if let Some(ingest) = &shared.ingest {
             let _ = ingest.flush();
         }
     }
 
     /// Serve until the process exits (the CLI `serve` command's main
     /// loop). Never returns under normal operation.
-    pub fn join(mut self) {
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
-        self.shared.queue.close();
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        self.front.join();
     }
 }
 
@@ -440,72 +413,6 @@ fn flusher_loop(shared: &Shared, tick: Duration) {
             }
         }
         std::thread::sleep(tick);
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            refuse(shared, stream, "server is shutting down", false);
-            break;
-        }
-        shared
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            stream,
-            admitted: Instant::now(),
-        };
-        match shared.queue.try_push(job) {
-            Ok(depth) => {
-                shared.metrics.queue_depth.store(depth, Ordering::Relaxed);
-            }
-            Err(PushError::Full(job)) => {
-                shared
-                    .metrics
-                    .rejected_saturated
-                    .fetch_add(1, Ordering::Relaxed);
-                refuse(shared, job.stream, "admission queue full", true);
-            }
-            Err(PushError::Closed(job)) => {
-                refuse(shared, job.stream, "server is shutting down", false);
-            }
-        }
-    }
-}
-
-/// Answer 503 directly from the accept loop — overload and shutdown never
-/// touch the worker pool.
-fn refuse(shared: &Shared, mut stream: TcpStream, message: &str, retryable: bool) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut response = Response::error(503, message);
-    if retryable {
-        response = response.with_header("Retry-After", "1".to_string());
-    }
-    shared.metrics.record_status(503);
-    let _ = response.write_to(&mut stream);
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared
-            .metrics
-            .queue_depth
-            .store(shared.queue.len(), Ordering::Relaxed);
-        shared.metrics.queue_wait.record(job.admitted.elapsed());
-        shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-        // A panic inside one request must not kill the worker: catch it,
-        // count a 500, and move on. The engine crates are panic-free by
-        // lint policy; this is defense in depth.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(shared, job);
-        }));
-        if result.is_err() {
-            shared.metrics.record_status(500);
-        }
-        shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -630,31 +537,17 @@ fn apply_wal_image(shared: &Shared, bytes: &[u8]) -> Result<u64, String> {
     Ok(applied)
 }
 
-fn handle_connection(shared: &Shared, job: Job) {
-    let Job { stream, admitted } = job;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(reader_half);
-    let mut stream = stream;
-    let response = match http::read_request(&mut reader, &shared.limits) {
-        Ok(request) => respond(shared, &request, admitted),
-        Err(e) => {
-            let (status, _) = e.status();
-            Response::error(status, &e.to_string())
-        }
-    };
-    shared.metrics.record_status(response.status);
+/// The node's handler on the front door: route the request, and count a
+/// 504 as an expired deadline.
+fn handle(shared: &Shared, request: &Request, admitted: Instant) -> Response {
+    let response = respond(shared, request, admitted);
     if response.status == 504 {
         shared
             .metrics
             .deadline_expired
             .fetch_add(1, Ordering::Relaxed);
     }
-    let _ = response.write_to(&mut stream);
-    shared.metrics.latency.record(admitted.elapsed());
+    response
 }
 
 /// Per-request deadline: the default, lowered by a `deadline_ms` query
@@ -852,7 +745,7 @@ fn handle_health(shared: &Shared) -> Response {
             shared.durable_lsn.load(Ordering::SeqCst),
             shared.checkpoint_seq.load(Ordering::SeqCst),
             shared.wal_len.load(Ordering::SeqCst),
-            shared.metrics.workers_total
+            shared.metrics.admission.workers_total
         ),
     )
 }
