@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use tix::corpus::{CorpusSpec, Generator, PlantSpec};
 use tix::exec::pick::PickParams;
 use tix::query::run_query;
-use tix::store::Store;
+use tix::store::{NodeRef, Store};
 use tix::Database;
 
 mod commands {
@@ -141,7 +141,8 @@ mod commands {
         let mut out = format!("{} text nodes contain the phrase\n", matches.len());
         for m in matches.iter().take(20) {
             let doc = db.store().doc(m.node.doc).name();
-            out.push_str(&format!("  {}× in {doc} {}\n", m.score as u64, m.node));
+            let node = NodeRef::new(db.store().dense_id(m.node.doc), m.node.node);
+            out.push_str(&format!("  {}× in {doc} {node}\n", m.score as u64));
         }
         if matches.len() > 20 {
             out.push_str(&format!("  … and {} more\n", matches.len() - 20));
@@ -248,6 +249,7 @@ mod commands {
                 let id = ingest
                     .insert_document(&mut db, name, &xml)
                     .map_err(|e| format!("cannot add {name}: {e}"))?;
+                let id = db.store().dense_id(id);
                 format!("added {name} as doc {} at lsn {}", id.0, ingest.last_lsn())
             }
             "remove" => {

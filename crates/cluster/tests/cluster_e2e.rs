@@ -158,8 +158,9 @@ fn followers_replicate_and_reject_writes() {
     let shard = tix_cluster::shard_of("a0.xml", 2);
     for replica in &cluster.shards()[shard].replicas {
         let has = replica.reload(|db| {
-            (0..db.store().doc_count())
-                .any(|i| db.store().doc(tix::store::DocId(i as u32)).name() == "a0.xml")
+            db.store()
+                .doc_ids()
+                .any(|id| db.store().doc(id).name() == "a0.xml")
         });
         assert!(!has, "a0.xml still on a replica after replicated removal");
     }

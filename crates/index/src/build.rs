@@ -1,32 +1,46 @@
 //! Index construction and lookup.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use tix_store::{DocId, NodeIdx, NodeKind, NodeRef, Store};
+use tix_store::{DocId, NodeIdx, NodeKind, NodeRef, Removed, Store, Tombstones};
 
 use crate::postings::{Posting, PostingList, TermId, TermStats};
 use crate::tokenize::tokenize;
 
 /// A positional inverted index over every text node in a [`Store`].
 ///
-/// Built once after loading; the store is immutable afterwards (the paper's
-/// experiments are all read-only over a loaded INEX corpus).
+/// Built once after loading, then maintained per document as the store
+/// changes: [`InvertedIndex::add_document`] and
+/// [`InvertedIndex::remove_document`] each cost O(document). Postings
+/// carry the store's document **slots**; the index mirrors the store's
+/// [`Tombstones`] so that every serialization (v2 snapshot, v3 pack)
+/// renumbers to dense ids and canonical term order, byte-identical to a
+/// from-scratch build over the surviving documents.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
+    /// Live terms only; a term whose last posting is removed leaves the
+    /// dictionary but keeps its (empty) slot in `term_names` / `lists`
+    /// until the next compaction.
     dictionary: HashMap<String, TermId>,
     term_names: Vec<String>,
     lists: Vec<PostingList>,
     /// Total tokens indexed (collection length, for scoring normalization).
     total_tokens: u64,
+    /// The store's tombstoned slots at the last mutation this index saw.
+    tombstones: Tombstones,
 }
 
 impl InvertedIndex {
-    /// Index every text node of every document in `store`.
+    /// Index every text node of every live document in `store`.
     ///
     /// Word offsets restart at 0 for each document and increase across
     /// text-node boundaries in document order.
     pub fn build(store: &Store) -> Self {
-        let mut index = InvertedIndex::default();
+        let mut index = InvertedIndex {
+            tombstones: store.tombstones().clone(),
+            ..InvertedIndex::default()
+        };
         for doc_id in store.doc_ids() {
             index.index_document(store, doc_id);
         }
@@ -50,7 +64,10 @@ impl InvertedIndex {
         let extracted = tix_parallel::parallel_map(&doc_ids, threads, |&doc_id| {
             extract_document(store, doc_id)
         });
-        let mut index = InvertedIndex::default();
+        let mut index = InvertedIndex {
+            tombstones: store.tombstones().clone(),
+            ..InvertedIndex::default()
+        };
         for doc in extracted {
             index.total_tokens += doc.tokens;
             for (term, postings) in doc.terms {
@@ -69,77 +86,134 @@ impl InvertedIndex {
     /// live index maintenance. No other list entry is touched, so the cost
     /// is proportional to the new document's tokens, not the collection.
     ///
-    /// `doc_id` must be the **highest** document id in `store` (documents
-    /// are appended by `Store::load_str`), so the new postings extend every
+    /// `doc_id` must be the **highest** slot in `store` (documents are
+    /// appended by `Store::load_str`), so the new postings extend every
     /// affected list at its tail and global `(doc, node, offset)` order is
-    /// preserved. New terms are interned in first-occurrence order, which
-    /// is exactly where a from-scratch [`InvertedIndex::build`] over the
-    /// grown store would put them — the maintained index stays
-    /// byte-identical to a rebuild (see `canonicalize` for the delete-side
-    /// argument).
+    /// preserved.
     pub fn add_document(&mut self, store: &Store, doc_id: DocId) {
         tix_invariants::check! {
             assert!(
-                doc_id.0 as usize + 1 == store.doc_count(),
-                "add_document requires the appended (highest) document id"
+                store.doc_ids().last() == Some(doc_id),
+                "add_document requires the appended (highest) document slot"
             );
         }
         self.index_document(store, doc_id);
         self.check_postings_sorted();
     }
 
-    /// Incrementally un-index a removed document — the delete half of live
-    /// index maintenance, mirroring the dense-id compaction performed by
-    /// `Store::remove_document`: `doc_id`'s postings are dropped and every
-    /// posting of a later document is renumbered down by one. No
-    /// re-tokenization happens; the cost is one pass over the posting
-    /// lists.
-    pub fn remove_document(&mut self, doc_id: DocId) {
-        let mut removed_tokens = 0u64;
-        for list in &mut self.lists {
-            removed_tokens += list.remove_doc(doc_id) as u64;
+    /// Incrementally un-index a document the store just removed — the
+    /// delete half of live index maintenance. Only the removed document
+    /// is re-tokenized, and only its own runs are cut from its own terms'
+    /// lists (found by binary search on its slot); no other posting is
+    /// renumbered. The slot joins the index's tombstones, and when the
+    /// store's removal compacted, the index compacts the same way.
+    pub fn remove_document(&mut self, removed: Removed) {
+        let slot = removed.slot();
+        let doc = removed.doc();
+        let mut terms: Vec<TermId> = Vec::new();
+        for i in 0..doc.len() as u32 {
+            let idx = NodeIdx(i);
+            if doc.node(idx).kind() == NodeKind::Text {
+                for token in tokenize(doc.text(idx)) {
+                    terms.extend(self.dictionary.get(&token.term));
+                }
+            }
         }
-        self.total_tokens = self.total_tokens.saturating_sub(removed_tokens);
-        self.canonicalize();
+        terms.sort_unstable();
+        terms.dedup();
+        for id in terms {
+            let list = &mut self.lists[id.0 as usize];
+            self.total_tokens = self
+                .total_tokens
+                .saturating_sub(list.remove_run(slot) as u64);
+            if list.is_empty() {
+                self.dictionary.remove(&self.term_names[id.0 as usize]);
+            }
+        }
+        self.tombstones.insert(slot);
+        if removed.compacted() {
+            self.compact();
+        }
         self.check_postings_sorted();
     }
 
-    /// Restore the canonical (from-scratch-rebuild) dictionary after a
-    /// delete: drop terms whose posting lists emptied, and re-sort the
-    /// dictionary into first-occurrence order.
-    ///
-    /// A sequential [`InvertedIndex::build`] interns each term when its
-    /// first occurrence is scanned, and the scan visits occurrences in
-    /// `(doc, node, offset)` order — so rebuild term-id order is exactly
-    /// ascending order of each term's first posting, a key we can compute
-    /// from the maintained lists alone. Sorting by it (first postings are
-    /// unique: one token position holds one term) makes the maintained
-    /// index serialize byte-identically to a rebuild over the mutated
-    /// store, which is what the differential tests and the
-    /// `check-invariants` equivalence assertion in `tix::Database` verify.
-    fn canonicalize(&mut self) {
-        let names = std::mem::take(&mut self.term_names);
-        let lists = std::mem::take(&mut self.lists);
-        let mut entries: Vec<(String, PostingList)> = names
-            .into_iter()
-            .zip(lists)
-            .filter(|(_, list)| !list.is_empty())
-            .collect();
-        entries.sort_by_key(|(_, list)| {
-            list.postings()
-                .first()
-                .map(|p| (p.doc.0, p.node.as_u32(), p.offset))
-                .unwrap_or((u32::MAX, u32::MAX, u32::MAX))
-        });
-        self.dictionary.clear();
-        self.term_names = Vec::with_capacity(entries.len());
-        self.lists = Vec::with_capacity(entries.len());
-        for (name, list) in entries {
-            let id = TermId(self.term_names.len() as u32);
-            self.dictionary.insert(name.clone(), id);
-            self.term_names.push(name);
-            self.lists.push(list);
+    /// Follow a store compaction: renumber every posting to its dense id,
+    /// drop the slots of terms that died, and put the live terms in
+    /// canonical order. O(postings), paid once per compaction.
+    fn compact(&mut self) {
+        let tombstones = std::mem::take(&mut self.tombstones);
+        for list in &mut self.lists {
+            list.densify(&tombstones);
         }
+        let order = self.canonical_order();
+        let mut new_id = vec![TermId(u32::MAX); self.lists.len()];
+        let mut names = Vec::with_capacity(order.len());
+        let mut lists = Vec::with_capacity(order.len());
+        for (rank, old) in order.into_iter().enumerate() {
+            new_id[old.0 as usize] = TermId(rank as u32);
+            names.push(std::mem::take(&mut self.term_names[old.0 as usize]));
+            lists.push(std::mem::take(&mut self.lists[old.0 as usize]));
+        }
+        self.dictionary.retain(|_, id| {
+            *id = new_id[id.0 as usize];
+            id.0 != u32::MAX
+        });
+        self.term_names = names;
+        self.lists = lists;
+    }
+
+    /// Live term ids in canonical order. A sequential
+    /// [`InvertedIndex::build`] interns each term when its first
+    /// occurrence is scanned, and the scan visits occurrences in
+    /// `(doc, node, offset)` order — so rebuild term-id order is exactly
+    /// ascending order of each term's first posting. Slots map to dense
+    /// ids monotonically, so the order is the same in either numbering;
+    /// first postings are unique (one token position holds one term).
+    /// The sort is stable and therefore linear when no delete disturbed
+    /// the order.
+    fn canonical_order(&self) -> Vec<TermId> {
+        let mut order: Vec<(Posting, TermId)> = self
+            .lists
+            .iter()
+            .enumerate()
+            .filter_map(|(id, list)| Some((*list.postings().first()?, TermId(id as u32))))
+            .collect();
+        order.sort_by_key(|&(first, _)| first);
+        order.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Every live term with its list, in canonical term order and with
+    /// postings in dense document ids — exactly what a from-scratch
+    /// [`InvertedIndex::build`] over the surviving documents holds. The
+    /// v2 snapshot and v3 pack writers serialize this view, which is why
+    /// their bytes never depend on the delete history. Lists are borrowed
+    /// when no document is tombstoned, and renumbered copies otherwise.
+    pub fn canonical_lists(&self) -> Vec<(&str, Cow<'_, PostingList>)> {
+        self.canonical_order()
+            .into_iter()
+            .map(|id| {
+                let list = &self.lists[id.0 as usize];
+                let list = if self.tombstones.is_empty() {
+                    Cow::Borrowed(list)
+                } else {
+                    let mut dense = PostingList::from_parts(
+                        list.postings().to_vec(),
+                        list.doc_frequency(),
+                        list.node_frequency(),
+                    );
+                    dense.densify(&self.tombstones);
+                    Cow::Owned(dense)
+                };
+                (self.term_names[id.0 as usize].as_str(), list)
+            })
+            .collect()
+    }
+
+    /// The store tombstones this index's postings are numbered against
+    /// (empty for an index loaded from a snapshot or pack, whose postings
+    /// carry dense ids).
+    pub fn tombstones(&self) -> &Tombstones {
+        &self.tombstones
     }
 
     /// Debug/check-invariants postcondition: every posting list must be
@@ -227,11 +301,6 @@ impl InvertedIndex {
         self.dictionary.get(term).copied()
     }
 
-    /// Resolve a term id back to its string.
-    pub fn term_str(&self, id: TermId) -> &str {
-        &self.term_names[id.0 as usize]
-    }
-
     /// Posting list for `term`; empty slice if the term never occurs.
     pub fn postings(&self, term: &str) -> &[Posting] {
         self.list(term).map(PostingList::postings).unwrap_or(&[])
@@ -240,11 +309,6 @@ impl InvertedIndex {
     /// The full posting-list structure for `term`.
     pub fn list(&self, term: &str) -> Option<&PostingList> {
         self.term_id(term).map(|id| &self.lists[id.0 as usize])
-    }
-
-    /// Posting list by id.
-    pub fn list_by_id(&self, id: TermId) -> &PostingList {
-        &self.lists[id.0 as usize]
     }
 
     /// Total occurrences of `term` in the collection — the "term frequency"
@@ -269,7 +333,7 @@ impl InvertedIndex {
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        self.term_names.len()
+        self.dictionary.len()
     }
 
     /// Total tokens indexed across the collection.
@@ -277,9 +341,9 @@ impl InvertedIndex {
         self.total_tokens
     }
 
-    /// Every posting list, in term-id (first-occurrence) order.
+    /// Every live term's posting list, in term-id order.
     pub(crate) fn lists(&self) -> impl Iterator<Item = &PostingList> {
-        self.lists.iter()
+        self.lists.iter().filter(|list| !list.is_empty())
     }
 
     /// Statistics for every term (workload tooling).
@@ -287,6 +351,7 @@ impl InvertedIndex {
         self.term_names
             .iter()
             .zip(&self.lists)
+            .filter(|(_, list)| !list.is_empty())
             .map(|(term, list)| TermStats {
                 term: term.clone(),
                 collection_frequency: list.collection_frequency(),
@@ -473,8 +538,8 @@ mod tests {
     fn remove_document_matches_rebuild_byte_for_byte() {
         // "zeta" first occurs in the removed document but survives in a
         // later one: the rebuild interns it later, so this exercises the
-        // canonical re-ordering, the empty-term drop ("only"), and the
-        // dense renumbering all at once.
+        // canonical order at write time, the empty-term drop ("only"),
+        // and the slot → dense renumbering all at once.
         let mut store = Store::new();
         store.load_str("a.xml", "<a>zeta alpha only</a>").unwrap();
         store.load_str("b.xml", "<a>beta</a>").unwrap();

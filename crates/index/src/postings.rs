@@ -1,6 +1,6 @@
 //! Posting lists and per-term statistics.
 
-use tix_store::{DocId, NodeIdx, NodeRef};
+use tix_store::{DocId, NodeIdx, NodeRef, Tombstones};
 
 /// Identifies a term in the index's dictionary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,25 +30,40 @@ impl Posting {
 }
 
 /// The occurrences of one term, in global document order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PostingList {
-    pub(crate) postings: Vec<Posting>,
+    /// The list is `buf[head..]`. Cutting a document's run moves whichever
+    /// side of it is shorter, so a run cut from the front (the oldest
+    /// document) only advances `head`; the dead prefix is reclaimed once
+    /// it outgrows the list.
+    buf: Vec<Posting>,
+    head: usize,
     /// Number of distinct documents containing the term.
     pub(crate) doc_frequency: u32,
     /// Number of distinct text nodes containing the term.
     pub(crate) node_frequency: u32,
 }
 
+impl PartialEq for PostingList {
+    fn eq(&self, other: &Self) -> bool {
+        self.postings() == other.postings()
+            && self.doc_frequency == other.doc_frequency
+            && self.node_frequency == other.node_frequency
+    }
+}
+
+impl Eq for PostingList {}
+
 impl PostingList {
     /// All postings, ordered by `(doc, node, offset)`.
     pub fn postings(&self) -> &[Posting] {
-        &self.postings
+        self.buf.get(self.head..).unwrap_or(&[])
     }
 
     /// Total occurrences in the collection (collection frequency; this is
     /// the "term frequency" axis of the paper's Tables 1–4).
     pub fn collection_frequency(&self) -> usize {
-        self.postings.len()
+        self.postings().len()
     }
 
     /// Number of distinct documents containing the term.
@@ -63,7 +78,7 @@ impl PostingList {
 
     /// True when the term never occurs.
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+        self.postings().is_empty()
     }
 
     /// Reassemble a list from deserialized parts (snapshot loading). The
@@ -86,52 +101,72 @@ impl PostingList {
         node_frequency: u32,
     ) -> Self {
         PostingList {
-            postings,
+            buf: postings,
+            head: 0,
             doc_frequency,
             node_frequency,
         }
     }
 
-    /// Incremental-maintenance primitive: drop every posting of `doc` and
-    /// renumber postings of later documents down by one, mirroring the
-    /// dense-id compaction `Store::remove_document` performs. Frequencies
-    /// are recomputed from the surviving postings. Returns the number of
-    /// postings removed (= the term's occurrences in `doc`).
-    pub(crate) fn remove_doc(&mut self, doc: DocId) -> usize {
-        let before = self.postings.len();
-        self.postings.retain(|p| p.doc != doc);
-        let removed = before - self.postings.len();
-        for p in &mut self.postings {
-            if p.doc > doc {
-                p.doc = DocId(p.doc.0 - 1);
+    /// Incremental-maintenance primitive: drop `doc`'s run of postings,
+    /// found by binary search, and update the frequencies from the run
+    /// alone. Returns the number of postings removed (= the term's
+    /// occurrences in `doc`). No other posting is renumbered, and only the
+    /// shorter side of the run is moved.
+    pub(crate) fn remove_run(&mut self, doc: DocId) -> usize {
+        let list = self.postings();
+        // The oldest document's run needs no search at all.
+        let lo = match list.first() {
+            Some(first) if first.doc >= doc => 0,
+            _ => list.partition_point(|p| p.doc < doc),
+        };
+        let len = list
+            .get(lo..)
+            .unwrap_or(&[])
+            .iter()
+            .take_while(|p| p.doc == doc)
+            .count();
+        let (lo, hi) = (self.head + lo, self.head + lo + len);
+        let Some(run) = self.buf.get(lo..hi).filter(|run| !run.is_empty()) else {
+            return 0;
+        };
+        let mut nodes = 1;
+        for pair in run.windows(2) {
+            if let [a, b] = pair {
+                nodes += u32::from(a.node != b.node);
             }
         }
-        self.doc_frequency = 0;
-        self.node_frequency = 0;
-        let mut last: Option<Posting> = None;
-        for p in &self.postings {
-            match last {
-                Some(prev) if prev.doc == p.doc => {
-                    if prev.node != p.node {
-                        self.node_frequency += 1;
-                    }
-                }
-                _ => {
-                    self.doc_frequency += 1;
-                    self.node_frequency += 1;
-                }
-            }
-            last = Some(*p);
+        self.doc_frequency -= 1;
+        self.node_frequency -= nodes;
+        let removed = hi - lo;
+        if lo - self.head < self.buf.len() - hi {
+            self.buf.copy_within(self.head..lo, self.head + removed);
+            self.head += removed;
+        } else {
+            self.buf.drain(lo..hi);
+        }
+        if self.head > 0 && self.head >= self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
         }
         removed
     }
 
+    /// Renumber every posting's document slot to its dense id. Posting
+    /// order and the frequencies are unchanged: the map is monotone.
+    pub(crate) fn densify(&mut self, tombstones: &Tombstones) {
+        let mut dense = tombstones.densifier();
+        for p in self.buf.iter_mut().skip(self.head) {
+            p.doc = dense(p.doc);
+        }
+    }
+
     pub(crate) fn push(&mut self, posting: Posting) {
         debug_assert!(
-            self.postings.last().is_none_or(|last| *last < posting),
+            self.postings().last().is_none_or(|last| *last < posting),
             "postings must arrive in document order"
         );
-        match self.postings.last() {
+        match self.postings().last() {
             Some(last) if last.doc == posting.doc => {
                 if last.node != posting.node {
                     self.node_frequency += 1;
@@ -142,7 +177,7 @@ impl PostingList {
                 self.node_frequency += 1;
             }
         }
-        self.postings.push(posting);
+        self.buf.push(posting);
     }
 }
 
@@ -181,6 +216,46 @@ mod tests {
         assert_eq!(list.collection_frequency(), 4);
         assert_eq!(list.doc_frequency(), 2);
         assert_eq!(list.node_frequency(), 3);
+    }
+
+    #[test]
+    fn remove_run_keeps_the_rest_and_its_frequencies() {
+        let all = [
+            p(0, 1, 0),
+            p(0, 1, 1),
+            p(1, 2, 0),
+            p(1, 4, 3),
+            p(2, 1, 0),
+            p(3, 1, 0),
+            p(3, 2, 1),
+            p(4, 1, 0),
+        ];
+        // Front, back, and middle runs, an absent document, then the rest.
+        for (doc, removed) in [(0, 2), (4, 1), (2, 1), (9, 0), (1, 2), (3, 2)] {
+            let mut list = PostingList::default();
+            for &q in &all {
+                list.push(q);
+            }
+            let mut expected = PostingList::default();
+            for &q in all.iter().filter(|q| q.doc != DocId(doc)) {
+                expected.push(q);
+            }
+            assert_eq!(list.remove_run(DocId(doc)), removed, "doc {doc}");
+            assert_eq!(list, expected, "doc {doc}");
+        }
+        let mut list = PostingList::default();
+        for &q in &all {
+            list.push(q);
+        }
+        for doc in 0..5 {
+            list.remove_run(DocId(doc));
+            let rest: Vec<Posting> = all.iter().copied().filter(|q| q.doc.0 > doc).collect();
+            assert_eq!(list.postings(), rest.as_slice(), "after doc {doc}");
+        }
+        assert!(list.is_empty());
+        assert_eq!((list.doc_frequency(), list.node_frequency()), (0, 0));
+        list.push(p(7, 0, 0));
+        assert_eq!(list.postings(), &[p(7, 0, 0)]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use tix_store::persist::{read_section, write_section, SealReader, SealWriter, Se
 use tix_store::{DocId, NodeIdx};
 
 use crate::build::InvertedIndex;
-use crate::postings::{Posting, PostingList, TermId};
+use crate::postings::{Posting, PostingList};
 
 /// Leading magic of every index snapshot, any version.
 pub const INDEX_SNAPSHOT_MAGIC: &[u8; 6] = b"TIXIDX";
@@ -118,13 +118,11 @@ fn r_u32(r: &mut impl Read) -> io::Result<u32> {
 
 fn write_term(
     w: &mut impl Write,
-    index: &InvertedIndex,
-    term_id: TermId,
+    name: &str,
+    list: &PostingList,
 ) -> Result<(), IndexSnapshotError> {
-    let name = index.term_str(term_id);
     w_count(w, name.len(), "term name")?;
     w.write_all(name.as_bytes())?;
-    let list = index.list_by_id(term_id);
     w_u32(w, list.doc_frequency())?;
     w_u32(w, list.node_frequency())?;
     w_count(w, list.postings().len(), "posting list")?;
@@ -174,24 +172,21 @@ fn read_term(r: &mut impl Read, index: &mut InvertedIndex) -> Result<(), IndexSn
 
 impl InvertedIndex {
     /// Serialize the index into `w` in the current (v2, checksummed)
-    /// format.
+    /// format: the [canonical](InvertedIndex::canonical_lists) view, in
+    /// dense document ids.
     pub fn save_snapshot(&self, w: impl Write) -> Result<(), IndexSnapshotError> {
         let mut w = SealWriter::new(w);
         w.write_all(MAGIC)?;
         w.write_all(&[INDEX_SNAPSHOT_VERSION])?;
+        let terms = self.canonical_lists();
         let mut payload = Vec::new();
         payload.extend_from_slice(&self.total_tokens().to_le_bytes());
-        w_count(&mut payload, self.term_count(), "term table")?;
+        w_count(&mut payload, terms.len(), "term table")?;
         write_section(&mut w, &mut payload).map_err(section_err)?;
-        let term_count = u32::try_from(self.term_count())
-            .map_err(|_| IndexSnapshotError::TooLarge("term table"))?;
-        for id in 0..term_count {
-            write_term(&mut payload, self, TermId(id))?;
-            if (id + 1) % TERMS_PER_SECTION == 0 {
-                write_section(&mut w, &mut payload).map_err(section_err)?;
+        for section in terms.chunks(TERMS_PER_SECTION as usize) {
+            for (name, list) in section {
+                write_term(&mut payload, name, list)?;
             }
-        }
-        if !payload.is_empty() || term_count % TERMS_PER_SECTION != 0 {
             write_section(&mut w, &mut payload).map_err(section_err)?;
         }
         w.write_seal()?;
@@ -207,11 +202,10 @@ impl InvertedIndex {
         w.write_all(MAGIC)?;
         w.write_all(&[1u8])?;
         w.write_all(&self.total_tokens().to_le_bytes())?;
-        w_count(w, self.term_count(), "term table")?;
-        let term_count = u32::try_from(self.term_count())
-            .map_err(|_| IndexSnapshotError::TooLarge("term table"))?;
-        for id in 0..term_count {
-            write_term(w, self, TermId(id))?;
+        let terms = self.canonical_lists();
+        w_count(w, terms.len(), "term table")?;
+        for (name, list) in &terms {
+            write_term(w, name, list)?;
         }
         Ok(())
     }

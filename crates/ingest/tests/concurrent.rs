@@ -73,13 +73,9 @@ fn db_index_bytes(db: &Database) -> Vec<u8> {
 }
 
 fn doc_names(db: &Database) -> Vec<String> {
-    (0..db.store().doc_count())
-        .map(|i| {
-            db.store()
-                .doc(tix::store::DocId(u32::try_from(i).unwrap()))
-                .name()
-                .to_string()
-        })
+    db.store()
+        .doc_ids()
+        .map(|id| db.store().doc(id).name().to_string())
         .collect()
 }
 

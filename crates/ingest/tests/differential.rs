@@ -59,9 +59,10 @@ fn db_index_bytes(db: &Database) -> Vec<u8> {
 }
 
 fn store_fingerprint(db: &Database) -> Vec<(String, usize)> {
-    (0..db.store().doc_count())
-        .map(|i| {
-            let doc = db.store().doc(tix::store::DocId(i as u32));
+    db.store()
+        .doc_ids()
+        .map(|id| {
+            let doc = db.store().doc(id);
             (doc.name().to_string(), doc.len())
         })
         .collect()

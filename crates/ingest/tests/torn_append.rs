@@ -20,13 +20,9 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 fn doc_names(db: &tix::Database) -> Vec<String> {
-    (0..db.store().doc_count())
-        .map(|i| {
-            db.store()
-                .doc(tix::store::DocId(u32::try_from(i).unwrap()))
-                .name()
-                .to_string()
-        })
+    db.store()
+        .doc_ids()
+        .map(|id| db.store().doc(id).name().to_string())
         .collect()
 }
 

@@ -26,7 +26,7 @@
 
 use std::io::Write;
 
-use tix_index::{IndexSnapshotError, InvertedIndex, Posting, TermId};
+use tix_index::{IndexSnapshotError, InvertedIndex, Posting};
 use tix_store::persist::{write_section, SealWriter, SectionError};
 
 use crate::varint::put_u32;
@@ -137,14 +137,16 @@ fn encode_term(postings: &[Posting]) -> Result<Vec<BlockMeta>, IndexSnapshotErro
     Ok(blocks)
 }
 
-/// Write `index` as a sealed `TIXPAK` v3 file.
+/// Write `index` as a sealed `TIXPAK` v3 file: its
+/// [canonical](InvertedIndex::canonical_lists) view, in dense document ids.
 pub fn write_pack(index: &InvertedIndex, w: impl Write) -> Result<(), IndexSnapshotError> {
     let mut w = SealWriter::new(w);
     w.write_all(PACK_MAGIC)?;
     w.write_all(&[PACK_VERSION])?;
 
-    let term_count = u32::try_from(index.term_count())
-        .map_err(|_| IndexSnapshotError::TooLarge("term count"))?;
+    let lists = index.canonical_lists();
+    let term_count =
+        u32::try_from(lists.len()).map_err(|_| IndexSnapshotError::TooLarge("term count"))?;
     let mut payload = Vec::new();
     payload.extend_from_slice(&index.total_tokens().to_le_bytes());
     payload.extend_from_slice(&term_count.to_le_bytes());
@@ -156,17 +158,17 @@ pub fn write_pack(index: &InvertedIndex, w: impl Write) -> Result<(), IndexSnaps
     // Encode every term's blocks up front: the dictionary records each
     // block's byte length, so the payloads must exist before the
     // dictionary sections are written.
-    let mut terms: Vec<Vec<BlockMeta>> = Vec::with_capacity(index.term_count());
-    for tid in 0..term_count {
-        terms.push(encode_term(index.list_by_id(TermId(tid)).postings())?);
+    let mut terms: Vec<Vec<BlockMeta>> = Vec::with_capacity(lists.len());
+    for (_, list) in &lists {
+        terms.push(encode_term(list.postings())?);
     }
 
-    for (chunk_base, chunk) in terms.chunks(TERMS_PER_SECTION).enumerate() {
-        for (i, blocks) in chunk.iter().enumerate() {
-            let tid = u32::try_from(chunk_base * TERMS_PER_SECTION + i)
-                .map_err(|_| IndexSnapshotError::TooLarge("term id"))?;
-            let name = index.term_str(TermId(tid)).as_bytes();
-            let list = index.list_by_id(TermId(tid));
+    for (chunk, lists) in terms
+        .chunks(TERMS_PER_SECTION)
+        .zip(lists.chunks(TERMS_PER_SECTION))
+    {
+        for (blocks, (name, list)) in chunk.iter().zip(lists) {
+            let name = name.as_bytes();
             payload.extend_from_slice(
                 &u32::try_from(name.len())
                     .map_err(|_| IndexSnapshotError::TooLarge("term name"))?

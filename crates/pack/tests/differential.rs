@@ -50,12 +50,28 @@ const QUERIES: [&[&str]; 5] = [
     &["nosuch"],
 ];
 
-/// Bitwise comparison of two scored-result streams: same nodes, same
+/// A result node named independently of document numbering: the
+/// in-memory index addresses the store's slots (tombstones included),
+/// a pack addresses dense ids.
+fn named(store: &Store, node: tix_store::NodeRef) -> (String, u32) {
+    (store.doc(node.doc).name().to_string(), node.node.as_u32())
+}
+
+/// Bitwise comparison of two scored-result streams, `a` over `store_a`
+/// and `b` over `store_b`: same nodes by `(document name, node)`, same
 /// order, and scores equal as IEEE-754 bit patterns — not approximately.
-fn assert_bit_identical(a: &[ScoredNode], b: &[ScoredNode], what: &str) {
+fn assert_bit_identical(
+    (store_a, a): (&Store, &[ScoredNode]),
+    (store_b, b): (&Store, &[ScoredNode]),
+    what: &str,
+) {
     assert_eq!(a.len(), b.len(), "{what}: result count");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.node, y.node, "{what}: node at {i}");
+        assert_eq!(
+            named(store_a, x.node),
+            named(store_b, y.node),
+            "{what}: node at {i}"
+        );
         assert_eq!(
             x.score.to_bits(),
             y.score.to_bits(),
@@ -68,8 +84,12 @@ fn assert_bit_identical(a: &[ScoredNode], b: &[ScoredNode], what: &str) {
 
 /// Run every query through both representations — pushdown driver (the
 /// block-max path on the pack side) and the parallel full pipeline at
-/// `threads` workers — and demand bit-identical answers.
+/// `threads` workers — and demand bit-identical answers. `mem` runs over
+/// `store` as maintained (tombstones included); the pack, written in
+/// dense ids, runs over the dense store a fresh load of the survivors
+/// gives.
 fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex, threads: usize) {
+    let dense = store.freeze().thaw();
     let pick = PickParams::paper();
     for (qi, terms) in QUERIES.iter().enumerate() {
         let simple = SimpleScorer::uniform();
@@ -78,9 +98,15 @@ fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex
                 pushdown::search_topk(store, mem, terms, &simple, Some(&pick), k, None, &|| false)
                     .unwrap();
             let b =
-                pushdown::search_topk(store, pack, terms, &simple, Some(&pick), k, None, &|| false)
-                    .unwrap();
-            assert_bit_identical(&a.results, &b.results, &format!("q{qi} pushdown k={k}"));
+                pushdown::search_topk(&dense, pack, terms, &simple, Some(&pick), k, None, &|| {
+                    false
+                })
+                .unwrap();
+            assert_bit_identical(
+                (store, &a.results),
+                (&dense, &b.results),
+                &format!("q{qi} pushdown k={k}"),
+            );
             assert_eq!(
                 a.postings_total, b.postings_total,
                 "q{qi}: representations disagree on list sizes"
@@ -91,17 +117,26 @@ fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex
             store, mem, terms, &simple, threads,
         ));
         let full_b = sort_by_node(parallel::term_join_parallel(
-            store, pack, terms, &simple, threads,
+            &dense, pack, terms, &simple, threads,
         ));
-        assert_bit_identical(&full_a, &full_b, &format!("q{qi} parallel t={threads}"));
+        assert_bit_identical(
+            (store, &full_a),
+            (&dense, &full_b),
+            &format!("q{qi} parallel t={threads}"),
+        );
         // Idf scoring exercises the trait's idf() on both sides.
         let idf_a = IdfScorer::new(mem, store.doc_count(), terms);
         let idf_b = IdfScorer::new(pack, store.doc_count(), terms);
         let ra = pushdown::search_topk(store, mem, terms, &idf_a, Some(&pick), 5, None, &|| false)
             .unwrap();
-        let rb = pushdown::search_topk(store, pack, terms, &idf_b, Some(&pick), 5, None, &|| false)
-            .unwrap();
-        assert_bit_identical(&ra.results, &rb.results, &format!("q{qi} idf"));
+        let rb =
+            pushdown::search_topk(&dense, pack, terms, &idf_b, Some(&pick), 5, None, &|| false)
+                .unwrap();
+        assert_bit_identical(
+            (store, &ra.results),
+            (&dense, &rb.results),
+            &format!("q{qi} idf"),
+        );
     }
 }
 
@@ -326,7 +361,11 @@ fn first_query_decodes_only_its_own_terms() {
         false
     })
     .unwrap();
-    assert_bit_identical(&run.results, &full.results, "cold-start query");
+    assert_bit_identical(
+        (&store, &run.results),
+        (&store, &full.results),
+        "cold-start query",
+    );
 
     assert_eq!(
         pack.decoded_terms(),

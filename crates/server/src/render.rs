@@ -8,7 +8,7 @@
 use tix::exec::pick::PickParams;
 use tix::exec::scored::ScoredNode;
 use tix::query::ResultItem;
-use tix::store::Store;
+use tix::store::{NodeRef, Store};
 
 /// Longest text snippet included per result, in characters.
 pub const SNIPPET_CHARS: usize = 120;
@@ -52,6 +52,12 @@ fn json_str_array(items: &[String]) -> String {
     format!("[{}]", parts.join(","))
 }
 
+/// A node's rendered id, `d<doc>#<node>`, with the document's dense id
+/// (see [`Store::dense_id`]): the same bytes whatever the delete history.
+fn node_id(store: &Store, node: NodeRef) -> String {
+    NodeRef::new(store.dense_id(node.doc), node.node).to_string()
+}
+
 /// One scored element as a JSON object.
 fn scored_node(store: &Store, s: &ScoredNode) -> String {
     let doc = store.doc(s.node.doc).name();
@@ -64,7 +70,7 @@ fn scored_node(store: &Store, s: &ScoredNode) -> String {
     format!(
         "{{\"doc\":{},\"node\":{},\"tag\":{},\"score\":{},\"text\":{}}}",
         json_string(doc),
-        json_string(&s.node.to_string()),
+        json_string(&node_id(store, s.node)),
         tag.map(json_string).unwrap_or_else(|| "null".to_string()),
         json_f64(s.score),
         json_string(&snippet)
@@ -104,7 +110,7 @@ pub fn phrase_body(store: &Store, terms: &[String], matches: &[ScoredNode]) -> S
             format!(
                 "{{\"doc\":{},\"node\":{},\"occurrences\":{}}}",
                 json_string(store.doc(m.node.doc).name()),
-                json_string(&m.node.to_string()),
+                json_string(&node_id(store, m.node)),
                 // Occurrence counts are small exact integers stored in the
                 // score field.
                 json_f64(m.score)

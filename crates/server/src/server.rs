@@ -1244,7 +1244,11 @@ fn handle_insert_document(shared: &Shared, request: &Request) -> Response {
     // one leader fsyncs for all of them (see the `Shared` contract).
     let (staged, generation) = {
         let mut db = write_lock(&shared.db);
-        (ingest.stage_insert(&mut db, name, xml), db.generation())
+        // Render the dense id, as every other id leaving the server is.
+        let staged = ingest
+            .stage_insert(&mut db, name, xml)
+            .map(|(id, ticket)| (db.store().dense_id(id), ticket));
+        (staged, db.generation())
     };
     match staged {
         Ok((id, ticket)) => match ingest.commit(ticket) {
@@ -1281,8 +1285,9 @@ fn handle_insert_document(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-/// `DELETE /documents/{name}`: log the removal, apply it (dropping the
-/// document's postings and renumbering), and answer 200 — or 404 for an
+/// `DELETE /documents/{name}`: log the removal, apply it (tombstoning the
+/// document's slot and dropping its postings), and answer 200 with the
+/// dense id it had — or 404 for an
 /// unknown name, 403 on a read-only server.
 fn handle_remove_document(shared: &Shared, name: &str) -> Response {
     let Some(ingest) = &shared.ingest else {

@@ -46,4 +46,4 @@ pub use interner::{Interner, Symbol};
 pub use node::{DocId, NodeIdx, NodeKind, NodeRec, NodeRef};
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION};
 pub use stats::StoreStats;
-pub use store::{FrozenStore, RemoveError, Store};
+pub use store::{FrozenStore, RemoveError, Removed, Store, Tombstones};

@@ -4,7 +4,9 @@ use std::fmt;
 
 use crate::interner::Symbol;
 
-/// Identifies a document within a [`crate::Store`].
+/// Identifies a document within a [`crate::Store`]: its **slot**, stable
+/// until a compaction (see [`crate::Tombstones`]). Displayed as `d<n>`;
+/// rendered output passes it through [`crate::Store::dense_id`] first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 

@@ -207,21 +207,77 @@ fn r_interner(r: &mut impl Read) -> Result<Interner, SnapshotError> {
 
 // ---- shared per-document encoding (identical in v1 and v2) -----------------
 
-fn write_doc(w: &mut impl Write, doc: &DocData) -> Result<(), SnapshotError> {
+/// The tag and attribute-name interners a fresh load of the store's live
+/// documents builds — symbols in first-occurrence order — with each live
+/// symbol's new value. Removed documents (and failed loads) leave symbols
+/// behind in the live interners; writing through this keeps snapshot
+/// bytes a function of the live documents alone.
+struct Symbols {
+    tags: Interner,
+    tag_map: Vec<u32>,
+    attr_names: Interner,
+    attr_map: Vec<u32>,
+}
+
+impl Symbols {
+    fn of(store: &Store) -> Symbols {
+        let docs = || store.live_docs();
+        let (tags, tag_map) = renumber(
+            store.tags_interner(),
+            docs().flat_map(|doc| {
+                doc.nodes
+                    .iter()
+                    .filter(|rec| rec.kind == NodeKind::Element)
+                    .map(|rec| rec.tag)
+            }),
+        );
+        let (attr_names, attr_map) = renumber(
+            store.attr_names_interner(),
+            docs().flat_map(|doc| doc.attrs.iter().map(|a| a.name)),
+        );
+        Symbols {
+            tags,
+            tag_map,
+            attr_names,
+            attr_map,
+        }
+    }
+}
+
+/// Re-intern the `used` symbols of `live` in order of first use.
+fn renumber(live: &Interner, used: impl Iterator<Item = Symbol>) -> (Interner, Vec<u32>) {
+    let mut fresh = Interner::new();
+    let mut map = vec![u32::MAX; live.len()];
+    for sym in used {
+        if let Some(new) = map.get_mut(sym.as_u32() as usize) {
+            if *new == u32::MAX {
+                *new = fresh.intern(live.resolve(sym)).as_u32();
+            }
+        }
+    }
+    (fresh, map)
+}
+
+fn mapped(map: &[u32], sym: Symbol) -> u32 {
+    map.get(sym.as_u32() as usize)
+        .copied()
+        .unwrap_or(sym.as_u32())
+}
+
+fn write_doc(w: &mut impl Write, doc: &DocData, symbols: &Symbols) -> Result<(), SnapshotError> {
     w_bytes(w, doc.name.as_bytes(), "document name")?;
     w_count(w, doc.nodes.len(), "node table")?;
     for rec in &doc.nodes {
         w_u32(w, rec.end)?;
         w_u32(w, rec.parent)?;
         w_u16(w, rec.level)?;
-        w_u8(
-            w,
-            match rec.kind {
-                NodeKind::Element => 0,
-                NodeKind::Text => 1,
-            },
-        )?;
-        w_u32(w, rec.tag.as_u32())?;
+        let (kind, tag) = match rec.kind {
+            NodeKind::Element => (0, mapped(&symbols.tag_map, rec.tag)),
+            // A text node's tag field is unused; it is written as stored.
+            NodeKind::Text => (1, rec.tag.as_u32()),
+        };
+        w_u8(w, kind)?;
+        w_u32(w, tag)?;
         w_u32(w, rec.payload)?;
     }
     w_count(w, doc.texts.len(), "text table")?;
@@ -233,7 +289,7 @@ fn write_doc(w: &mut impl Write, doc: &DocData) -> Result<(), SnapshotError> {
     w_count(w, doc.attrs.len(), "attribute table")?;
     for attr in &doc.attrs {
         w_u32(w, attr.node)?;
-        w_u32(w, attr.name.as_u32())?;
+        w_u32(w, mapped(&symbols.attr_map, attr.name))?;
         w_u32(w, attr.value_start)?;
         w_u32(w, attr.value_len)?;
     }
@@ -334,14 +390,14 @@ impl Store {
         let mut w = SealWriter::new(w);
         w.write_all(MAGIC)?;
         w_u8(&mut w, SNAPSHOT_VERSION)?;
+        let symbols = Symbols::of(self);
         let mut payload = Vec::new();
-        w_interner(&mut payload, self.tags_interner())?;
-        w_interner(&mut payload, self.attr_names_interner())?;
-        let docs = self.docs();
-        w_count(&mut payload, docs.len(), "document table")?;
+        w_interner(&mut payload, &symbols.tags)?;
+        w_interner(&mut payload, &symbols.attr_names)?;
+        w_count(&mut payload, self.doc_count(), "document table")?;
         write_section(&mut w, &mut payload).map_err(section_err)?;
-        for doc in docs {
-            write_doc(&mut payload, doc.as_ref())?;
+        for doc in self.live_docs() {
+            write_doc(&mut payload, doc.as_ref(), &symbols)?;
             write_section(&mut w, &mut payload).map_err(section_err)?;
         }
         w.write_seal()?;
@@ -356,12 +412,12 @@ impl Store {
         let w = &mut w;
         w.write_all(MAGIC)?;
         w_u8(w, 1)?;
-        w_interner(w, self.tags_interner())?;
-        w_interner(w, self.attr_names_interner())?;
-        let docs = self.docs();
-        w_count(w, docs.len(), "document table")?;
-        for doc in docs {
-            write_doc(w, doc.as_ref())?;
+        let symbols = Symbols::of(self);
+        w_interner(w, &symbols.tags)?;
+        w_interner(w, &symbols.attr_names)?;
+        w_count(w, self.doc_count(), "document table")?;
+        for doc in self.live_docs() {
+            write_doc(w, doc.as_ref(), &symbols)?;
         }
         Ok(())
     }
@@ -542,6 +598,34 @@ mod tests {
     }
 
     #[test]
+    fn symbols_left_by_removed_documents_are_not_written() {
+        let mut store = Store::new();
+        store
+            .load_str("gone.xml", "<old k=\"v\"><p/></old>")
+            .unwrap();
+        store
+            .load_str("kept.xml", "<a id=\"1\"><p>x</p></a>")
+            .unwrap();
+        assert!(store.load_str("bad.xml", "<z><y></z>").is_err());
+        store.remove_document("gone.xml").unwrap();
+        let mut fresh = Store::new();
+        fresh
+            .load_str("kept.xml", "<a id=\"1\"><p>x</p></a>")
+            .unwrap();
+        let bytes = |store: &Store| {
+            let mut buf = Vec::new();
+            store.save_snapshot(&mut buf).unwrap();
+            buf
+        };
+        assert_eq!(bytes(&store), bytes(&fresh));
+        let loaded = Store::load_snapshot(bytes(&store).as_slice()).unwrap();
+        let root = NodeRef::new(DocId(0), NodeIdx(0));
+        assert_eq!(loaded.tag_name(root), Some("a"));
+        assert_eq!(loaded.attribute(root, "id"), Some("1"));
+        assert_eq!(loaded.elements_with_tag("p").len(), 1);
+    }
+
+    #[test]
     fn duplicate_document_name_is_a_typed_error() {
         // Hand-assemble a v1 snapshot carrying the same document twice:
         // structurally valid bytes, so the name registry — not the framing
@@ -551,12 +635,13 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         w_u8(&mut buf, 1).unwrap();
-        w_interner(&mut buf, store.tags_interner()).unwrap();
-        w_interner(&mut buf, store.attr_names_interner()).unwrap();
+        let symbols = Symbols::of(&store);
+        w_interner(&mut buf, &symbols.tags).unwrap();
+        w_interner(&mut buf, &symbols.attr_names).unwrap();
         w_count(&mut buf, 2, "document table").unwrap();
-        let doc = store.docs()[0].as_ref();
-        write_doc(&mut buf, doc).unwrap();
-        write_doc(&mut buf, doc).unwrap();
+        let doc = store.live_docs().next().unwrap().as_ref();
+        write_doc(&mut buf, doc, &symbols).unwrap();
+        write_doc(&mut buf, doc, &symbols).unwrap();
         match Store::load_snapshot(buf.as_slice()) {
             Err(SnapshotError::DuplicateName(name)) => assert_eq!(name, "dup.xml"),
             other => panic!("expected DuplicateName, got {other:?}"),

@@ -40,7 +40,7 @@ impl StoreStats {
             distinct_tags: 0,
         };
         let mut seen_tags = std::collections::HashSet::new();
-        for doc in store.docs() {
+        for doc in store.live_docs() {
             stats.text_bytes += doc.text_bytes.len();
             for rec in &doc.nodes {
                 stats.max_depth = stats.max_depth.max(rec.level());

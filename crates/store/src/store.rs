@@ -38,6 +38,98 @@ pub(crate) enum FromPartsError {
     TagOutOfRange,
 }
 
+/// The slots of removed documents, in ascending order.
+///
+/// A [`Store`] gives each document a **slot** ([`DocId`]) at load, in
+/// ascending order, and a removal leaves a tombstone rather than
+/// renumbering later documents. Live slots therefore keep load order, and
+/// the map from a live slot to its **dense id** — its rank among live
+/// documents, the id a fresh load of the survivors would assign — is
+/// monotone: `slot − (tombstones below it)`. Every byte that leaves the
+/// process (snapshots, packs, rendered node ids) uses dense ids.
+#[derive(Debug, Clone, Default)]
+pub struct Tombstones {
+    slots: Vec<u32>,
+}
+
+impl Tombstones {
+    /// Number of tombstoned slots.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no slot is tombstoned (slots and dense ids coincide).
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The dense id of a live `slot`: its rank among live slots.
+    pub fn dense(&self, slot: DocId) -> DocId {
+        let below = self.slots.partition_point(|&dead| dead < slot.0);
+        // `below` counts distinct slots smaller than `slot.0`, so the
+        // difference cannot underflow and `below` fits in a u32.
+        DocId(slot.0 - below as u32)
+    }
+
+    /// A slot → dense-id map for a walk in slot order (a posting list, an
+    /// element list): one binary search per distinct slot, not per call.
+    pub fn densifier(&self) -> impl FnMut(DocId) -> DocId + '_ {
+        let mut last: Option<(DocId, DocId)> = None;
+        move |slot| match last {
+            Some((seen, dense)) if seen == slot => dense,
+            _ => {
+                let dense = self.dense(slot);
+                last = Some((slot, dense));
+                dense
+            }
+        }
+    }
+
+    /// Tombstone `slot` (a no-op if it already is one).
+    pub fn insert(&mut self, slot: DocId) {
+        if let Err(at) = self.slots.binary_search(&slot.0) {
+            self.slots.insert(at, slot.0);
+        }
+    }
+}
+
+/// A document taken out of a [`Store`] by [`Store::remove_document`]:
+/// what a structure kept beside the store (the inverted index) needs to
+/// follow the removal in O(document).
+#[derive(Debug)]
+pub struct Removed {
+    slot: DocId,
+    dense: DocId,
+    doc: Arc<DocData>,
+    compacted: bool,
+}
+
+impl Removed {
+    /// The slot the document occupied (now a tombstone, or gone if the
+    /// removal compacted the store).
+    pub fn slot(&self) -> DocId {
+        self.slot
+    }
+
+    /// The dense id the document had just before its removal.
+    pub fn dense(&self) -> DocId {
+        self.dense
+    }
+
+    /// The removed document's data.
+    pub fn doc(&self) -> &DocData {
+        &self.doc
+    }
+
+    /// True when this removal tipped the store past its compaction rule
+    /// (more tombstones than live documents) and every slot was
+    /// renumbered to its dense id. A follower renumbers the same way,
+    /// using the tombstones it held before the compaction.
+    pub fn compacted(&self) -> bool {
+        self.compacted
+    }
+}
+
 /// An in-memory XML database: documents, tag index, navigation.
 ///
 /// Documents are held behind [`Arc`]s: loaded document data is immutable
@@ -46,10 +138,16 @@ pub(crate) enum FromPartsError {
 /// bumps alone — the epoch snapshot a non-blocking checkpoint folds from
 /// while writers keep mutating the live store.
 ///
+/// Each document lives in a stable slot (see [`Tombstones`]): a removal
+/// costs O(document), and compaction back to dense slots is a fixed rule
+/// applied inside [`Store::remove_document`].
+///
 /// See the crate docs for the role this plays in the reproduction.
 #[derive(Debug, Default)]
 pub struct Store {
-    docs: Vec<Arc<DocData>>,
+    /// Document slots in load order; `None` is a tombstone.
+    docs: Vec<Option<Arc<DocData>>>,
+    dead: Tombstones,
     by_name: HashMap<String, DocId>,
     tags: Interner,
     attr_names: Interner,
@@ -65,7 +163,7 @@ impl Store {
         Store::default()
     }
 
-    /// Parse and load `xml` under `name`.
+    /// Parse and load `xml` under `name`, in the next slot.
     pub fn load_str(&mut self, name: &str, xml: &str) -> Result<DocId, LoadError> {
         if self.by_name.contains_key(name) {
             return Err(LoadError::DuplicateName(name.to_string()));
@@ -75,74 +173,96 @@ impl Store {
         // Extend the tag index with this document's elements, preserving
         // global document order (docs are appended in load order).
         self.tag_elements.resize(self.tags.len(), Vec::new());
-        for (i, rec) in doc.nodes.iter().enumerate() {
-            if rec.kind == NodeKind::Element {
-                // lint:allow(no-slice-index): resized to tags.len() above
-                self.tag_elements[rec.tag.as_u32() as usize]
-                    .push(NodeRef::new(id, NodeIdx(i as u32)));
+        push_elements(&mut self.tag_elements, id, &doc);
+        self.by_name.insert(name.to_string(), id);
+        self.docs.push(Some(Arc::new(doc)));
+        Ok(id)
+    }
+
+    /// Remove the document registered under `name`.
+    ///
+    /// The document's slot becomes a tombstone: no other document is
+    /// renumbered, so outstanding [`NodeRef`]s of live documents (and
+    /// index postings) stay valid. The cost is the removed document's own
+    /// elements, dropped from the tag index by binary search on the slot.
+    ///
+    /// Compaction is a fixed rule: when tombstones outnumber live
+    /// documents, every live slot is renumbered to its dense id in the
+    /// same call, which amortizes to O(document) per removal. The
+    /// returned [`Removed`] says whether that happened, so a structure
+    /// kept beside the store (`tix_index::InvertedIndex`) can follow.
+    pub fn remove_document(&mut self, name: &str) -> Result<Removed, RemoveError> {
+        let not_found = || RemoveError::NotFound(name.to_string());
+        let slot = self.by_name.get(name).copied().ok_or_else(not_found)?;
+        let doc = self
+            .docs
+            .get_mut(slot.0 as usize)
+            .and_then(Option::take)
+            .ok_or_else(not_found)?;
+        self.by_name.remove(name);
+        let dense = self.dead.dense(slot);
+        let mut tags: Vec<u32> = doc
+            .nodes
+            .iter()
+            .filter(|rec| rec.kind == NodeKind::Element)
+            .map(|rec| rec.tag.as_u32())
+            .collect();
+        tags.sort_unstable();
+        tags.dedup();
+        for tag in tags {
+            if let Some(list) = self.tag_elements.get_mut(tag as usize) {
+                let lo = list.partition_point(|n| n.doc < slot);
+                let hi = list.partition_point(|n| n.doc <= slot);
+                list.drain(lo..hi);
             }
         }
-        self.by_name.insert(name.to_string(), id);
-        self.docs.push(Arc::new(doc));
-        Ok(id)
-    }
-
-    /// Remove the document registered under `name`, returning the id it
-    /// occupied.
-    ///
-    /// Document ids are dense: every document after the removed one shifts
-    /// down by one, so outstanding [`NodeRef`]s (and index postings) are
-    /// invalidated by a removal. Callers maintaining derived structures —
-    /// the inverted index, caches keyed on node identity — must remap or
-    /// rebuild them in the same mutation step; `tix::Database` does exactly
-    /// that for its index.
-    pub fn remove_document(&mut self, name: &str) -> Result<DocId, RemoveError> {
-        let id = self
-            .by_name
-            .remove(name)
-            .ok_or_else(|| RemoveError::NotFound(name.to_string()))?;
-        self.docs.remove(id.0 as usize);
-        self.reindex();
-        Ok(id)
-    }
-
-    /// Rebuild the name map and tag index from the document table (after a
-    /// removal renumbers document ids). The interners are left as-is: a
-    /// symbol that no longer occurs simply has an empty element list, which
-    /// keeps every surviving symbol stable.
-    fn reindex(&mut self) {
-        self.by_name.clear();
-        for list in &mut self.tag_elements {
-            list.clear();
+        self.dead.insert(slot);
+        let compacted = self.dead.len() > self.doc_count();
+        if compacted {
+            self.compact();
         }
-        self.tag_elements.resize(self.tags.len(), Vec::new());
-        for (d, doc) in self.docs.iter().enumerate() {
-            let id = DocId(d as u32);
-            self.by_name.insert(doc.name.clone(), id);
-            for (i, rec) in doc.nodes.iter().enumerate() {
-                if rec.kind == NodeKind::Element {
-                    // lint:allow(no-slice-index): resized to tags.len() above
-                    self.tag_elements[rec.tag.as_u32() as usize]
-                        .push(NodeRef::new(id, NodeIdx(i as u32)));
-                }
+        Ok(Removed {
+            slot,
+            dense,
+            doc,
+            compacted,
+        })
+    }
+
+    /// Renumber every live slot to its dense id and drop the tombstones.
+    /// The interners are left as-is: a symbol that no longer occurs simply
+    /// has an empty element list, which keeps every surviving symbol
+    /// stable.
+    fn compact(&mut self) {
+        let dead = std::mem::take(&mut self.dead);
+        self.docs.retain(Option::is_some);
+        for id in self.by_name.values_mut() {
+            *id = dead.dense(*id);
+        }
+        for list in &mut self.tag_elements {
+            let mut dense = dead.densifier();
+            for node in list.iter_mut() {
+                node.doc = dense(node.doc);
             }
         }
     }
 
     // ---- documents -------------------------------------------------------
 
-    /// Number of loaded documents.
+    /// Number of live documents.
     pub fn doc_count(&self) -> usize {
-        self.docs.len()
+        self.docs.len() - self.dead.len()
     }
 
     /// The document data for `id`.
     ///
     /// # Panics
-    /// Panics if `id` did not come from this store.
+    /// Panics if `id` is not a live slot of this store.
     pub fn doc(&self, id: DocId) -> &DocData {
-        // lint:allow(no-slice-index): documented panic contract above
-        &self.docs[id.0 as usize]
+        match self.docs.get(id.0 as usize) {
+            Some(Some(doc)) => doc,
+            _ => panic!("{id} is not a live document of this store"),
+        }
     }
 
     /// Look up a document by registered name.
@@ -150,14 +270,30 @@ impl Store {
         self.by_name.get(name).copied()
     }
 
-    /// Iterate over all loaded document ids.
-    pub fn doc_ids(&self) -> impl Iterator<Item = DocId> {
-        (0..self.docs.len() as u32).map(DocId)
+    /// Iterate over every live document's slot, in load order.
+    pub fn doc_ids(&self) -> impl Iterator<Item = DocId> + '_ {
+        self.docs
+            .iter()
+            .enumerate()
+            .filter(|(_, doc)| doc.is_some())
+            .map(|(slot, _)| DocId(slot as u32))
     }
 
-    /// Total stored nodes across all documents.
+    /// The dense id of the live slot `id`: its rank among live documents,
+    /// which is the id a fresh load of the surviving documents (in load
+    /// order) gives it. Rendered node ids and every serialization use it.
+    pub fn dense_id(&self, id: DocId) -> DocId {
+        self.dead.dense(id)
+    }
+
+    /// The tombstoned slots.
+    pub fn tombstones(&self) -> &Tombstones {
+        &self.dead
+    }
+
+    /// Total stored nodes across all live documents.
     pub fn node_count(&self) -> usize {
-        self.docs.iter().map(|doc| doc.len()).sum()
+        self.live_docs().map(|doc| doc.len()).sum()
     }
 
     // ---- node basics ------------------------------------------------------
@@ -412,8 +548,9 @@ impl Store {
         StoreStats::gather(self)
     }
 
-    pub(crate) fn docs(&self) -> &[Arc<DocData>] {
-        &self.docs
+    /// Every live document, in slot (= dense id) order.
+    pub(crate) fn live_docs(&self) -> impl Iterator<Item = &Arc<DocData>> {
+        self.docs.iter().flatten()
     }
 
     /// Freeze the current document set as a copy-on-write epoch snapshot.
@@ -421,15 +558,16 @@ impl Store {
     /// This is O(documents) reference-count bumps plus two interner
     /// clones — no node table, text arena, or attribute data is copied —
     /// so a writer holding the database lock pays microseconds, not a
-    /// full-store copy. The frozen epoch is immune to later mutations:
-    /// an insert appends new `Arc`s to the live vec, and a remove (with
-    /// its eager id-compaction) drops `Arc`s from the live vec, neither
-    /// of which touches the clones captured here.
+    /// full-store copy. Only live documents are captured, so the thawed
+    /// store numbers them densely — exactly as a fresh load of the
+    /// survivors would. The frozen epoch is immune to later mutations: an
+    /// insert appends a new slot to the live vec and a remove tombstones
+    /// one, neither of which touches the clones captured here.
     pub fn freeze(&self) -> FrozenStore {
         FrozenStore {
             tags: self.tags.clone(),
             attr_names: self.attr_names.clone(),
-            docs: self.docs.clone(),
+            docs: self.live_docs().cloned().collect(),
         }
     }
 
@@ -450,12 +588,20 @@ impl Store {
         attr_names: Interner,
         docs: Vec<DocData>,
     ) -> Result<Store, FromPartsError> {
+        Store::assemble(tags, attr_names, docs.into_iter().map(Arc::new))
+    }
+
+    /// A dense store over `docs` (slot = position), with the name map and
+    /// tag index built from the node tables.
+    fn assemble(
+        tags: Interner,
+        attr_names: Interner,
+        docs: impl IntoIterator<Item = Arc<DocData>>,
+    ) -> Result<Store, FromPartsError> {
         let mut store = Store {
-            docs: Vec::new(),
-            by_name: HashMap::new(),
             tags,
             attr_names,
-            tag_elements: Vec::new(),
+            ..Store::default()
         };
         store.tag_elements.resize(store.tags.len(), Vec::new());
         for doc in docs {
@@ -463,19 +609,28 @@ impl Store {
             if store.by_name.insert(doc.name.clone(), id).is_some() {
                 return Err(FromPartsError::DuplicateName(doc.name.clone()));
             }
-            for (i, rec) in doc.nodes.iter().enumerate() {
-                if rec.kind == NodeKind::Element {
-                    store
-                        .tag_elements
-                        .get_mut(rec.tag.as_u32() as usize)
-                        .ok_or(FromPartsError::TagOutOfRange)?
-                        .push(NodeRef::new(id, NodeIdx(i as u32)));
-                }
+            if !push_elements(&mut store.tag_elements, id, &doc) {
+                return Err(FromPartsError::TagOutOfRange);
             }
-            store.docs.push(Arc::new(doc));
+            store.docs.push(Some(doc));
         }
         Ok(store)
     }
+}
+
+/// Append `doc`'s elements (in slot `id`) to the tag index, in document
+/// order. Returns false if a tag symbol lies past the index, which only
+/// untrusted snapshot parts can cause.
+fn push_elements(tag_elements: &mut [Vec<NodeRef>], id: DocId, doc: &DocData) -> bool {
+    for (i, rec) in doc.nodes.iter().enumerate() {
+        if rec.kind == NodeKind::Element {
+            match tag_elements.get_mut(rec.tag.as_u32() as usize) {
+                Some(list) => list.push(NodeRef::new(id, NodeIdx(i as u32))),
+                None => return false,
+            }
+        }
+    }
+    true
 }
 
 /// A copy-on-write epoch snapshot of a [`Store`], captured by
@@ -498,22 +653,23 @@ impl FrozenStore {
     }
 
     /// Reassemble a full [`Store`] (name map and tag index rebuilt) from
-    /// the frozen epoch. Runs without any lock on the live store; the
-    /// document data itself is shared, not copied.
+    /// the frozen epoch, with dense slots. Runs without any lock on the
+    /// live store; the document data itself is shared, not copied.
     ///
+    /// # Panics
     /// Unlike snapshot loading, the parts here are trusted by
     /// construction — they came out of a valid live store — so symbols
-    /// cannot be out of range and names cannot collide.
+    /// cannot be out of range and names cannot collide; either would be a
+    /// bug in this crate.
     pub fn thaw(&self) -> Store {
-        let mut store = Store {
-            docs: self.docs.clone(),
-            by_name: HashMap::new(),
-            tags: self.tags.clone(),
-            attr_names: self.attr_names.clone(),
-            tag_elements: Vec::new(),
-        };
-        store.reindex();
-        store
+        match Store::assemble(
+            self.tags.clone(),
+            self.attr_names.clone(),
+            self.docs.clone(),
+        ) {
+            Ok(store) => store,
+            Err(e) => panic!("a frozen epoch of a valid store failed to reassemble: {e:?}"),
+        }
     }
 }
 
@@ -663,26 +819,75 @@ mod tests {
     }
 
     #[test]
-    fn remove_document_renumbers_and_reindexes() {
+    fn remove_document_tombstones_its_slot() {
         let mut store = Store::new();
         store.load_str("a.xml", "<a><p/></a>").unwrap();
         store.load_str("b.xml", "<b><p/><p/></b>").unwrap();
         store.load_str("c.xml", "<a><p/></a>").unwrap();
         let removed = store.remove_document("b.xml").unwrap();
-        assert_eq!(removed, DocId(1));
+        assert_eq!(removed.slot(), DocId(1));
+        assert_eq!(removed.dense(), DocId(1));
+        assert!(!removed.compacted());
         assert_eq!(store.doc_count(), 2);
-        // Later documents shift down: c.xml is now DocId(1).
+        // No other document moves: c.xml keeps slot 2, dense id 1.
         assert_eq!(store.doc_by_name("a.xml"), Some(DocId(0)));
-        assert_eq!(store.doc_by_name("c.xml"), Some(DocId(1)));
+        assert_eq!(store.doc_by_name("c.xml"), Some(DocId(2)));
+        assert_eq!(store.dense_id(DocId(2)), DocId(1));
         assert_eq!(store.doc_by_name("b.xml"), None);
-        // Tag index reflects only the surviving documents, renumbered.
+        assert_eq!(store.doc_ids().collect::<Vec<_>>(), [DocId(0), DocId(2)]);
+        // Tag index reflects only the surviving documents.
         assert_eq!(
             store.elements_with_tag("p"),
-            &[nref(DocId(0), 1), nref(DocId(1), 1)]
+            &[nref(DocId(0), 1), nref(DocId(2), 1)]
         );
-        // The name can be reused after removal.
+        // The name can be reused after removal, in a fresh slot.
         let reused = store.load_str("b.xml", "<b>back</b>").unwrap();
-        assert_eq!(reused, DocId(2));
+        assert_eq!(reused, DocId(3));
+        assert_eq!(store.dense_id(reused), DocId(2));
+    }
+
+    #[test]
+    fn compaction_renumbers_once_tombstones_outnumber_live_documents() {
+        let mut store = Store::new();
+        for name in ["a.xml", "b.xml", "c.xml", "d.xml"] {
+            store.load_str(name, "<a><p/></a>").unwrap();
+        }
+        assert!(!store.remove_document("a.xml").unwrap().compacted());
+        assert!(!store.remove_document("c.xml").unwrap().compacted());
+        assert_eq!(store.tombstones().len(), 2);
+        // Three dead against one live: the fixed rule compacts.
+        let removed = store.remove_document("b.xml").unwrap();
+        assert!(removed.compacted());
+        assert_eq!((removed.slot(), removed.dense()), (DocId(1), DocId(0)));
+        assert!(store.tombstones().is_empty());
+        assert_eq!(store.doc_by_name("d.xml"), Some(DocId(0)));
+        assert_eq!(store.elements_with_tag("p"), &[nref(DocId(0), 1)]);
+        assert_eq!(store.load_str("e.xml", "<e/>").unwrap(), DocId(1));
+    }
+
+    #[test]
+    fn snapshot_after_removals_matches_a_fresh_load_of_the_survivors() {
+        let docs = [
+            ("a.xml", "<a x=\"1\"><p>one</p></a>"),
+            ("b.xml", "<a x=\"2\"><p>two</p><p/></a>"),
+            ("c.xml", "<a x=\"3\"><p>three</p></a>"),
+        ];
+        let mut store = Store::new();
+        for (name, xml) in docs {
+            store.load_str(name, xml).unwrap();
+        }
+        store.remove_document("b.xml").unwrap();
+        let mut fresh = Store::new();
+        for (name, xml) in [docs[0], docs[2]] {
+            fresh.load_str(name, xml).unwrap();
+        }
+        let snapshot = |store: &Store| {
+            let mut bytes = Vec::new();
+            store.save_snapshot(&mut bytes).unwrap();
+            bytes
+        };
+        assert_eq!(snapshot(&store), snapshot(&fresh));
+        assert_eq!(snapshot(&store.freeze().thaw()), snapshot(&fresh));
     }
 
     #[test]
@@ -690,8 +895,8 @@ mod tests {
         let mut store = Store::new();
         store.load_str("a.xml", "<a/>").unwrap();
         assert_eq!(
-            store.remove_document("nope.xml"),
-            Err(RemoveError::NotFound("nope.xml".to_string()))
+            store.remove_document("nope.xml").err(),
+            Some(RemoveError::NotFound("nope.xml".to_string()))
         );
         assert_eq!(store.doc_count(), 1);
     }
@@ -713,8 +918,8 @@ mod tests {
         store.load_str("a.xml", "<a><p/></a>").unwrap();
         store.load_str("b.xml", "<b><p/><p/></b>").unwrap();
         let frozen = store.freeze();
-        // Mutate the live store after the freeze: remove (with its eager
-        // id-compaction) and insert must not leak into the epoch.
+        // Mutate the live store after the freeze: remove (a tombstone)
+        // and insert must not leak into the epoch.
         store.remove_document("a.xml").unwrap();
         store.load_str("c.xml", "<c><p/></c>").unwrap();
         let thawed = frozen.thaw();
@@ -725,7 +930,12 @@ mod tests {
         assert_eq!(thawed.doc_by_name("c.xml"), None);
         // And the live store moved on independently.
         assert_eq!(store.doc_by_name("a.xml"), None);
-        assert_eq!(store.doc_by_name("c.xml"), Some(DocId(1)));
+        assert_eq!(store.doc_by_name("c.xml"), Some(DocId(2)));
+        // A freeze captures live documents only, so its thaw is dense.
+        let dense = store.freeze().thaw();
+        assert_eq!(dense.doc_by_name("b.xml"), Some(DocId(0)));
+        assert_eq!(dense.doc_by_name("c.xml"), Some(DocId(1)));
+        assert!(dense.tombstones().is_empty());
     }
 
     #[test]

@@ -121,7 +121,8 @@ impl Database {
     /// database stays queryable across the mutation. This is the live-
     /// ingestion entry point; batch loading should keep using
     /// [`Database::load`] + one [`Database::build_index`]. Bumps the
-    /// [generation](Database::generation).
+    /// [generation](Database::generation). Returns the new document's
+    /// slot; its dense id is [`Store::dense_id`] of it.
     ///
     /// Under `debug_assertions` or `--features check-invariants` the
     /// maintained index is asserted byte-identical to a from-scratch
@@ -137,23 +138,26 @@ impl Database {
         Ok(id)
     }
 
-    /// Remove a document by name, maintaining the index incrementally
-    /// (postings dropped, later document ids renumbered down — mirroring
-    /// the store's dense-id compaction). Bumps the
+    /// Remove a document by name in O(document): the store tombstones its
+    /// slot and the index cuts only that document's posting runs; no
+    /// other document is renumbered (see [`tix_store::Tombstones`]).
+    /// Returns the dense id the document had — the id every rendering and
+    /// serialization used for it. Bumps the
     /// [generation](Database::generation).
     ///
     /// Under `debug_assertions` or `--features check-invariants` the
     /// maintained index is asserted byte-identical to a from-scratch
     /// rebuild after the mutation.
     pub fn remove_document(&mut self, name: &str) -> Result<DocId, RemoveError> {
-        let id = self.store.remove_document(name)?;
+        let removed = self.store.remove_document(name)?;
+        let dense = removed.dense();
         self.materialize_index();
         if let Some(IndexRepr::Mem(index)) = &mut self.index {
-            index.remove_document(id);
+            index.remove_document(removed);
         }
         self.generation += 1;
         self.assert_index_matches_rebuild();
-        Ok(id)
+        Ok(dense)
     }
 
     /// The incremental-maintenance acceptance check: the maintained index
@@ -193,7 +197,10 @@ impl Database {
     /// Convert a pack-backed index into the in-memory representation so it
     /// can be maintained incrementally. Materialization preserves term
     /// order and statistics exactly, so the maintained index still matches
-    /// a from-scratch rebuild byte-for-byte. A decode failure is
+    /// a from-scratch rebuild byte-for-byte. Its dense ids are the store's
+    /// slots: [`Database::set_pack_index`] left the store without
+    /// tombstones, and the index has not yet seen the mutation that
+    /// triggers materializing. A decode failure is
     /// unreachable behind the open-time seal; if it happens anyway the
     /// index is dropped (callers rebuild, matching post-`load` behavior).
     fn materialize_index(&mut self) {
@@ -205,10 +212,15 @@ impl Database {
         }
     }
 
-    /// Install a pre-built index (e.g. loaded from an index snapshot). The
-    /// caller is responsible for it matching the loaded store. Bumps the
-    /// [generation](Database::generation).
+    /// Install a pre-built index: one built over this store, or one loaded
+    /// from an index snapshot. The caller is responsible for it matching
+    /// the loaded documents. A loaded index speaks dense document ids, so
+    /// over a store with tombstones the store is first reassembled with
+    /// dense slots. Bumps the [generation](Database::generation).
     pub fn set_index(&mut self, index: InvertedIndex) {
+        if index.tombstones().is_empty() {
+            self.densify_store();
+        }
         self.index = Some(IndexRepr::Mem(index));
         self.generation += 1;
     }
@@ -216,10 +228,23 @@ impl Database {
     /// Install a compressed v3 pack index loaded by reference (e.g. from a
     /// `TIXPAK` sidecar). Queries serve straight off the packed bytes with
     /// lazy per-term decode; the first mutation materializes the in-memory
-    /// form. Bumps the [generation](Database::generation).
+    /// form. A pack speaks dense document ids, so over a store with
+    /// tombstones the store is first reassembled with dense slots. Bumps
+    /// the [generation](Database::generation).
     pub fn set_pack_index(&mut self, pack: PackIndex) {
+        self.densify_store();
         self.index = Some(IndexRepr::Pack(pack));
         self.generation += 1;
+    }
+
+    /// Give every live document its dense id as its slot, so an index
+    /// written in dense ids addresses the store directly. A no-op without
+    /// tombstones; otherwise O(documents) reference bumps plus the tag
+    /// index, as in a checkpoint's freeze and thaw.
+    fn densify_store(&mut self) {
+        if !self.store.tombstones().is_empty() {
+            self.store = self.store.freeze().thaw();
+        }
     }
 
     /// The store/index **generation**: a counter bumped by every mutation

@@ -83,15 +83,18 @@ fn is_current_version(bytes: &[u8], magic: &[u8], version: u8) -> bool {
         && bytes.get(magic.len()).copied() == Some(version)
 }
 
-/// Save a store snapshot to `path` atomically and durably.
+/// Save a store snapshot to `path` atomically and durably. The snapshot
+/// streams into the file rather than being assembled in memory first, so
+/// a checkpoint's peak memory does not include a copy of the store.
 pub fn save_store(store: &Store, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let mut bytes = Vec::new();
-    store.save_snapshot(&mut bytes)?;
+    atomic_write::<PersistError, _>(&path, |w| Ok(store.save_snapshot(w)?))?;
     // The writer just produced a current-version snapshot; it must carry a
     // valid whole-file seal, or the loader's corruption gate would reject
     // our own output.
-    tix_invariants::check! { tix_invariants::assert_snapshot_sealed(SNAPSHOT_MAGIC, &bytes) }
-    atomic_write(path, |w| w.write_all(&bytes).map_err(PersistError::Io))
+    tix_invariants::check! {
+        tix_invariants::assert_snapshot_sealed(SNAPSHOT_MAGIC, &fs::read(&path)?)
+    }
+    Ok(())
 }
 
 /// Load a store snapshot from `path`, verifying the whole-file seal before
@@ -128,13 +131,16 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, PersistError>
 }
 
 /// Save an index as a compressed v3 pack (`TIXPAK`) atomically and
-/// durably. The pack loader ([`tix_pack::PackIndex::open`]) verifies its
-/// own seal, so like [`save_index`] we assert the bytes we just produced
-/// would pass that gate.
+/// durably, streaming it into the file. The pack loader
+/// ([`tix_pack::PackIndex::open`]) verifies its own seal, so like
+/// [`save_index`] we assert the bytes we just produced would pass that
+/// gate.
 pub fn save_index_v3(index: &InvertedIndex, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let bytes = tix_pack::pack_bytes(index)?;
-    tix_invariants::check! { tix_invariants::assert_snapshot_sealed(PACK_MAGIC, &bytes) }
-    atomic_write(path, |w| w.write_all(&bytes).map_err(PersistError::Io))
+    atomic_write::<PersistError, _>(&path, |w| Ok(tix_pack::write_pack(index, w)?))?;
+    tix_invariants::check! {
+        tix_invariants::assert_snapshot_sealed(PACK_MAGIC, &fs::read(&path)?)
+    }
+    Ok(())
 }
 
 impl Database {
