@@ -11,12 +11,12 @@
 /// it still must answer 500 — so the handler code itself stays panic-free.
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "core", "exec", "index", "store", "xml", "query", "parallel", "cli", "server", "ingest",
-    "cluster", "pack",
+    "cluster", "pack", "tix",
 ];
 
 /// Crates whose library code is checked for unchecked slice indexing.
 pub const INDEX_CHECKED_CRATES: &[&str] = &[
-    "core", "exec", "index", "store", "xml", "query", "parallel", "ingest", "pack",
+    "core", "exec", "index", "store", "xml", "query", "parallel", "ingest", "pack", "tix",
 ];
 
 /// Crates checked for direct float equality on scores.

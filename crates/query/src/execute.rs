@@ -13,7 +13,7 @@
 //! 3. the pushdown driver's early exit is guarded by the §4.2 score bound
 //!    and a strict-order top-k accumulator (see `tix_exec::pushdown`).
 //!
-//! The cancellation contract matches `Database::search_cancellable`:
+//! The cancellation contract is the one `Database::run` documents:
 //! `cancelled` is polled before scoring, between scoring and Pick, and
 //! between Pick and top-k (the pushdown path polls at least as often —
 //! on entry, per document, and before the final sort).

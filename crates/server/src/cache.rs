@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use tix::{ReadKind, SearchRequest};
+
 /// Which endpoint produced the cached body (identical term lists for
 /// different endpoints must not collide).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,8 +40,36 @@ pub struct QueryKey {
     pub min_score_bits: u64,
     /// Result budget.
     pub k: usize,
+    /// Top-k with ties (see [`SearchRequest::ties`]).
+    pub ties: bool,
     /// Database generation the result was computed at.
     pub generation: u64,
+}
+
+impl QueryKey {
+    /// The key of `request`'s result at `generation`: every field of the
+    /// request, floats bit-exact. A phrase read has no Pick stage, so its
+    /// Pick fields are 0.
+    pub(crate) fn of(request: &SearchRequest, generation: u64) -> Self {
+        let (kind, threshold_bits, fraction_bits) = match request.kind {
+            ReadKind::Terms { pick } => (
+                QueryKind::Search,
+                pick.relevance_threshold.to_bits(),
+                pick.fraction.to_bits(),
+            ),
+            ReadKind::Phrase => (QueryKind::Phrase, 0, 0),
+        };
+        QueryKey {
+            kind,
+            terms: request.terms().to_vec(),
+            threshold_bits,
+            fraction_bits,
+            min_score_bits: request.min_score.map_or(u64::MAX, f64::to_bits),
+            k: request.k,
+            ties: request.ties,
+            generation,
+        }
+    }
 }
 
 /// A cached rendered response body plus the generation it was computed at
@@ -153,6 +183,7 @@ mod tests {
             fraction_bits: 0.5f64.to_bits(),
             min_score_bits: u64::MAX,
             k: 10,
+            ties: false,
             generation,
         }
     }

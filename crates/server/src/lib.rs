@@ -32,6 +32,7 @@
 //! |-------|--------|-------------|
 //! | `/search?q=rust+xml&k=10&threshold=0.5&fraction=0.5` | GET | TermJoin → Pick → top-k |
 //! | `/phrase?q=xml+database` | GET | PhraseFinder exact-phrase lookup |
+//! | `/explain?q=rust+xml&k=10` | GET | the planner's statistics, costed candidates and choice |
 //! | `/search/batch?k=10` | POST | one query per body line, deduplicated |
 //! | `/query` | POST | extended-XQuery dialect (body = query text) |
 //! | `/documents?name=X` | POST | ingest a document (body = XML); live servers only |
@@ -73,6 +74,7 @@ pub mod front;
 pub mod http;
 pub mod metrics;
 pub mod queue;
+mod read;
 pub mod render;
 mod server;
 

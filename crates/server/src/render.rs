@@ -9,6 +9,7 @@ use tix::exec::pick::PickParams;
 use tix::exec::scored::ScoredNode;
 use tix::query::ResultItem;
 use tix::store::{NodeRef, Store};
+use tix::SearchResponse;
 
 /// Longest text snippet included per result, in characters.
 pub const SNIPPET_CHARS: usize = 120;
@@ -58,22 +59,33 @@ fn node_id(store: &Store, node: NodeRef) -> String {
     NodeRef::new(store.dense_id(node.doc), node.node).to_string()
 }
 
-/// One scored element as a JSON object.
-fn scored_node(store: &Store, s: &ScoredNode) -> String {
-    let doc = store.doc(s.node.doc).name();
-    let tag = store.tag_name(s.node);
-    let snippet: String = store
-        .text_content(s.node)
+/// A node's tag as JSON (`null` for a text node).
+fn tag(store: &Store, node: NodeRef) -> String {
+    store
+        .tag_name(node)
+        .map(json_string)
+        .unwrap_or_else(|| "null".to_string())
+}
+
+/// The first [`SNIPPET_CHARS`] characters of a node's text, as JSON.
+fn snippet(store: &Store, node: NodeRef) -> String {
+    let text: String = store
+        .text_content(node)
         .chars()
         .take(SNIPPET_CHARS)
         .collect();
+    json_string(&text)
+}
+
+/// One scored element as a JSON object.
+fn scored_node(store: &Store, s: &ScoredNode) -> String {
     format!(
         "{{\"doc\":{},\"node\":{},\"tag\":{},\"score\":{},\"text\":{}}}",
-        json_string(doc),
+        json_string(store.doc(s.node.doc).name()),
         json_string(&node_id(store, s.node)),
-        tag.map(json_string).unwrap_or_else(|| "null".to_string()),
+        tag(store, s.node),
         json_f64(s.score),
-        json_string(&snippet)
+        snippet(store, s.node)
     )
 }
 
@@ -122,6 +134,67 @@ pub fn phrase_body(store: &Store, terms: &[String], matches: &[ScoredNode]) -> S
         json_str_array(terms),
         matches.len(),
         parts.join(",")
+    )
+}
+
+/// The `/cluster/search` response body: the shard's top-k with ties and
+/// the exclusive bound on what it withheld, every score as raw `f64`
+/// bits, and results addressed by document *name* + node index (both
+/// shard-layout-independent, unlike `DocId`).
+pub(crate) fn cluster_search_body(
+    store: &Store,
+    generation: u64,
+    applied_lsn: u64,
+    answer: &SearchResponse,
+) -> String {
+    let items: Vec<String> = answer
+        .results
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"name\":{},\"node_idx\":{},\"score_bits\":{},\"tag\":{},\"text\":{}}}",
+                json_string(store.doc(s.node.doc).name()),
+                s.node.node.0,
+                s.score.to_bits(),
+                tag(store, s.node),
+                snippet(store, s.node)
+            )
+        })
+        .collect();
+    let bound_bits = answer
+        .withheld_bound
+        .map_or("null".to_string(), |b| b.to_bits().to_string());
+    format!(
+        "{{\"generation\":{generation},\"applied_lsn\":{applied_lsn},\"count\":{},\"bound_bits\":{bound_bits},\"results\":[{}]}}",
+        items.len(),
+        items.join(",")
+    )
+}
+
+/// The `/cluster/phrase` response body: every match (phrase results are
+/// not top-k), occurrence counts as raw score bits, addressed by name +
+/// node index.
+pub(crate) fn cluster_phrase_body(
+    store: &Store,
+    generation: u64,
+    applied_lsn: u64,
+    matches: &[ScoredNode],
+) -> String {
+    let items: Vec<String> = matches
+        .iter()
+        .map(|m| {
+            format!(
+                "{{\"name\":{},\"node_idx\":{},\"occ_bits\":{}}}",
+                json_string(store.doc(m.node.doc).name()),
+                m.node.node.0,
+                m.score.to_bits()
+            )
+        })
+        .collect();
+    format!(
+        "{{\"generation\":{generation},\"applied_lsn\":{applied_lsn},\"count\":{},\"results\":[{}]}}",
+        items.len(),
+        items.join(",")
     )
 }
 

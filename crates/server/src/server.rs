@@ -9,16 +9,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use tix::exec::pick::PickParams;
 use tix::query::run_query;
 use tix::store::{LoadError, RemoveError};
 use tix::{normalize_query, Database};
 use tix_ingest::{DurabilityMode, Ingest, IngestError, IngestOptions};
 
-use crate::cache::{QueryKey, QueryKind, ResultCache};
+use crate::cache::ResultCache;
 use crate::front::FrontDoor;
 use crate::http::{self, Limits, Request, Response};
 use crate::metrics::Metrics;
+use crate::read::{handle_read, k_and_pick, parse_param, ReadRoute};
 use crate::render;
 
 /// Most queries accepted in one `/search/batch` request.
@@ -110,8 +110,8 @@ impl Default for ServerConfig {
 /// concurrent mutations ride one group-commit batch and one fsync while
 /// readers take only the `db` read lock and see coherent pre- or
 /// post-mutation views.
-struct Shared {
-    db: RwLock<Database>,
+pub(crate) struct Shared {
+    pub(crate) db: RwLock<Database>,
     /// `Some` when serving a durable directory (live ingestion enabled);
     /// `None` for a read-only in-memory server. The engine is internally
     /// synchronized (`&self` mutations); exclusivity of *application*
@@ -122,8 +122,8 @@ struct Shared {
     /// the log keeps growing and recovery gets slower — `/health`
     /// surfaces this as `checkpoint_degraded` so operators see it.
     checkpoint_health: Mutex<Option<String>>,
-    cache: Mutex<ResultCache>,
-    metrics: Metrics,
+    pub(crate) cache: Mutex<ResultCache>,
+    pub(crate) metrics: Metrics,
     default_deadline: Duration,
     debug_endpoints: bool,
     /// Stops the replication and flusher loops.
@@ -133,7 +133,7 @@ struct Shared {
     /// paths (`/health`, `min_lsn` gating) never contend on the ingest
     /// mutex. Updated after every mutation/replicated apply, while the
     /// ingest mutex is still held — so it never runs ahead of the engine.
-    applied_lsn: AtomicU64,
+    pub(crate) applied_lsn: AtomicU64,
     /// Mirror of [`Ingest::checkpoint_seq`], same discipline.
     checkpoint_seq: AtomicU64,
     /// Mirror of [`Ingest::wal_len`], same discipline.
@@ -385,7 +385,7 @@ impl Server {
 
 /// Recover a read guard even if a panicking holder poisoned the lock — the
 /// database itself is only mutated under `reload`, which keeps it valid.
-fn read_lock(lock: &RwLock<Database>) -> std::sync::RwLockReadGuard<'_, Database> {
+pub(crate) fn read_lock(lock: &RwLock<Database>) -> std::sync::RwLockReadGuard<'_, Database> {
     lock.read().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -393,7 +393,7 @@ fn write_lock(lock: &RwLock<Database>) -> std::sync::RwLockWriteGuard<'_, Databa
     lock.write().unwrap_or_else(|p| p.into_inner())
 }
 
-fn lock_cache(cache: &Mutex<ResultCache>) -> std::sync::MutexGuard<'_, ResultCache> {
+pub(crate) fn lock_cache(cache: &Mutex<ResultCache>) -> std::sync::MutexGuard<'_, ResultCache> {
     cache.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -553,69 +553,9 @@ fn handle(shared: &Shared, request: &Request, admitted: Instant) -> Response {
 /// Per-request deadline: the default, lowered by a `deadline_ms` query
 /// parameter. Anchored at admission time, so queue wait counts against it.
 fn deadline_of(shared: &Shared, request: &Request, admitted: Instant) -> Result<Instant, Response> {
-    let budget = match request.query_param("deadline_ms") {
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| Response::error(400, &format!("bad deadline_ms {raw:?}")))?;
-            Duration::from_millis(ms.max(1)).min(shared.default_deadline)
-        }
-        None => shared.default_deadline,
-    };
-    Ok(admitted + budget)
-}
-
-fn parse_f64(request: &Request, name: &str, default: f64) -> Result<f64, Response> {
-    match request.query_param(name) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| Response::error(400, &format!("bad {name} {raw:?}"))),
-        None => Ok(default),
-    }
-}
-
-/// An optional float parameter: `None` when absent (no default — absence
-/// is meaningful, e.g. "no min_score filter" differs from "filter at 0").
-fn parse_opt_f64(request: &Request, name: &str) -> Result<Option<f64>, Response> {
-    match request.query_param(name) {
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| Response::error(400, &format!("bad {name} {raw:?}"))),
-        None => Ok(None),
-    }
-}
-
-/// The cache-key encoding of an optional `min_score`: bit-exact when
-/// present, `u64::MAX` (an unreachable NaN pattern for parsed floats)
-/// when absent — `None` and `Some(0.0)` must never share an entry.
-fn min_score_bits(min_score: Option<f64>) -> u64 {
-    min_score.map_or(u64::MAX, f64::to_bits)
-}
-
-fn parse_u64(request: &Request, name: &str, default: u64) -> Result<u64, Response> {
-    match request.query_param(name) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| Response::error(400, &format!("bad {name} {raw:?}"))),
-        None => Ok(default),
-    }
-}
-
-fn parse_usize(request: &Request, name: &str, default: usize) -> Result<usize, Response> {
-    match request.query_param(name) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| Response::error(400, &format!("bad {name} {raw:?}"))),
-        None => Ok(default),
-    }
-}
-
-fn pick_params(request: &Request) -> Result<PickParams, Response> {
-    Ok(PickParams {
-        relevance_threshold: parse_f64(request, "threshold", 0.5)?,
-        fraction: parse_f64(request, "fraction", 0.5)?,
-    })
+    // Absent means the default: no lowering is longer than `u64::MAX` ms.
+    let ms = parse_param(request, "deadline_ms", u64::MAX)?;
+    Ok(admitted + Duration::from_millis(ms.max(1)).min(shared.default_deadline))
 }
 
 fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
@@ -653,15 +593,15 @@ fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
         }
         ("GET", "/search") => {
             bump(&counters.search);
-            handle_search(shared, request, deadline)
+            handle_read(shared, request, ReadRoute::Search, deadline)
         }
         ("GET", "/phrase") => {
             bump(&counters.phrase);
-            handle_phrase(shared, request, deadline)
+            handle_read(shared, request, ReadRoute::Phrase, deadline)
         }
         ("GET", "/explain") => {
             bump(&counters.explain);
-            handle_explain(shared, request)
+            handle_read(shared, request, ReadRoute::Explain, deadline)
         }
         ("GET", "/wal") => {
             bump(&counters.wal);
@@ -669,11 +609,11 @@ fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
         }
         ("GET", "/cluster/search") => {
             bump(&counters.cluster);
-            handle_cluster_search(shared, request, deadline)
+            handle_read(shared, request, ReadRoute::ClusterSearch, deadline)
         }
         ("GET", "/cluster/phrase") => {
             bump(&counters.cluster);
-            handle_cluster_phrase(shared, request, deadline)
+            handle_read(shared, request, ReadRoute::ClusterPhrase, deadline)
         }
         ("POST", "/search/batch") => {
             bump(&counters.batch);
@@ -780,11 +720,11 @@ fn handle_wal(shared: &Shared, request: &Request) -> Response {
     let Some(ingest) = &shared.ingest else {
         return Response::error(403, "read-only server has no WAL");
     };
-    let from_lsn = match parse_u64(request, "from_lsn", 0) {
+    let from_lsn = match parse_param(request, "from_lsn", 0) {
         Ok(v) => v,
         Err(response) => return response,
     };
-    let max_bytes = match parse_u64(request, "max_bytes", WAL_PULL_MAX_BYTES) {
+    let max_bytes = match parse_param(request, "max_bytes", WAL_PULL_MAX_BYTES) {
         Ok(v) => v.min(WAL_PULL_MAX_BYTES),
         Err(response) => return response,
     };
@@ -832,237 +772,8 @@ fn handle_admin_checkpoint(shared: &Shared) -> Response {
     }
 }
 
-/// `GET /cluster/search?q=…&k=…` — the scatter-gather shard endpoint:
-/// top-k **with ties** plus the exclusive §4.2 bound on withheld scores,
-/// every score as raw `f64` bits, and results addressed by document
-/// *name* + node index (both shard-layout-independent, unlike `DocId`).
-fn handle_cluster_search(shared: &Shared, request: &Request, deadline: Instant) -> Response {
-    let terms = match terms_of(request) {
-        Ok(terms) => terms,
-        Err(response) => return response,
-    };
-    let k = match parse_usize(request, "k", 10) {
-        Ok(k) => k,
-        Err(response) => return response,
-    };
-    let pick = match pick_params(request) {
-        Ok(pick) => pick,
-        Err(response) => return response,
-    };
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let db = read_lock(&shared.db);
-    let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    let (results, bound) = db.search_with_ties(&term_refs, pick, k);
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let items: Vec<String> = results
-        .iter()
-        .map(|s| {
-            let store = db.store();
-            let snippet: String = store
-                .text_content(s.node)
-                .chars()
-                .take(render::SNIPPET_CHARS)
-                .collect();
-            format!(
-                "{{\"name\":{},\"node_idx\":{},\"score_bits\":{},\"tag\":{},\"text\":{}}}",
-                render::json_string(store.doc(s.node.doc).name()),
-                s.node.node.0,
-                s.score.to_bits(),
-                store
-                    .tag_name(s.node)
-                    .map(render::json_string)
-                    .unwrap_or_else(|| "null".to_string()),
-                render::json_string(&snippet)
-            )
-        })
-        .collect();
-    let bound_bits = bound.map_or("null".to_string(), |b| b.to_bits().to_string());
-    Response::json(
-        200,
-        format!(
-            "{{\"generation\":{},\"applied_lsn\":{},\"count\":{},\"bound_bits\":{bound_bits},\"results\":[{}]}}",
-            db.generation(),
-            shared.applied_lsn.load(Ordering::SeqCst),
-            items.len(),
-            items.join(",")
-        ),
-    )
-}
-
-/// `GET /cluster/phrase?q=…` — shard endpoint for phrase scatter-gather:
-/// every match (phrase results are not top-k), occurrence counts as raw
-/// score bits, addressed by name + node index.
-fn handle_cluster_phrase(shared: &Shared, request: &Request, deadline: Instant) -> Response {
-    let terms = match terms_of(request) {
-        Ok(terms) => terms,
-        Err(response) => return response,
-    };
-    if terms.len() < 2 {
-        return Response::error(400, "phrase needs at least two terms");
-    }
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let db = read_lock(&shared.db);
-    let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    let matches = db.find_phrase(&term_refs);
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let items: Vec<String> = matches
-        .iter()
-        .map(|m| {
-            format!(
-                "{{\"name\":{},\"node_idx\":{},\"occ_bits\":{}}}",
-                render::json_string(db.store().doc(m.node.doc).name()),
-                m.node.node.0,
-                m.score.to_bits()
-            )
-        })
-        .collect();
-    Response::json(
-        200,
-        format!(
-            "{{\"generation\":{},\"applied_lsn\":{},\"count\":{},\"results\":[{}]}}",
-            db.generation(),
-            shared.applied_lsn.load(Ordering::SeqCst),
-            items.len(),
-            items.join(",")
-        ),
-    )
-}
-
-/// Split a `q` parameter into normalized terms; 400 when absent or empty.
-fn terms_of(request: &Request) -> Result<Vec<String>, Response> {
-    let raw = request
-        .query_param("q")
-        .ok_or_else(|| Response::error(400, "missing q parameter"))?;
-    let split: Vec<&str> = raw.split_whitespace().collect();
-    let terms = normalize_query(&split);
-    if terms.is_empty() {
-        return Err(Response::error(400, "q has no terms"));
-    }
-    Ok(terms)
-}
-
-fn expired(deadline: Instant) -> bool {
+pub(crate) fn expired(deadline: Instant) -> bool {
     Instant::now() >= deadline
-}
-
-fn handle_search(shared: &Shared, request: &Request, deadline: Instant) -> Response {
-    let terms = match terms_of(request) {
-        Ok(terms) => terms,
-        Err(response) => return response,
-    };
-    let k = match parse_usize(request, "k", 10) {
-        Ok(k) => k,
-        Err(response) => return response,
-    };
-    let pick = match pick_params(request) {
-        Ok(pick) => pick,
-        Err(response) => return response,
-    };
-    let min_score = match parse_opt_f64(request, "min_score") {
-        Ok(min_score) => min_score,
-        Err(response) => return response,
-    };
-    let db = read_lock(&shared.db);
-    let generation = db.generation();
-    let key = QueryKey {
-        kind: QueryKind::Search,
-        terms: terms.clone(),
-        threshold_bits: pick.relevance_threshold.to_bits(),
-        fraction_bits: pick.fraction.to_bits(),
-        min_score_bits: min_score_bits(min_score),
-        k,
-        generation,
-    };
-    if let Some(body) = lock_cache(&shared.cache).get(&key, generation) {
-        shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Response::json(200, body);
-    }
-    shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    let cancelled = || expired(deadline);
-    match db.search_filtered(&term_refs, pick, k, min_score, &cancelled) {
-        Some(results) => {
-            let body = render::search_body(db.store(), &terms, pick, k, &results);
-            lock_cache(&shared.cache).insert(key, body.clone());
-            Response::json(200, body)
-        }
-        None => Response::error(504, "deadline exceeded"),
-    }
-}
-
-fn handle_phrase(shared: &Shared, request: &Request, deadline: Instant) -> Response {
-    let terms = match terms_of(request) {
-        Ok(terms) => terms,
-        Err(response) => return response,
-    };
-    if terms.len() < 2 {
-        return Response::error(400, "phrase needs at least two terms");
-    }
-    let db = read_lock(&shared.db);
-    let generation = db.generation();
-    let key = QueryKey {
-        kind: QueryKind::Phrase,
-        terms: terms.clone(),
-        threshold_bits: 0,
-        fraction_bits: 0,
-        min_score_bits: u64::MAX,
-        k: 0,
-        generation,
-    };
-    if let Some(body) = lock_cache(&shared.cache).get(&key, generation) {
-        shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Response::json(200, body);
-    }
-    shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    let matches = db.find_phrase(&term_refs);
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let body = render::phrase_body(db.store(), &terms, &matches);
-    lock_cache(&shared.cache).insert(key, body.clone());
-    Response::json(200, body)
-}
-
-/// `GET /explain?q=…` — the planner's view of the query: gathered
-/// statistics, every costed candidate plan, and the chosen access method.
-/// Same parameters as `/search`; never cached (it *describes* planning
-/// rather than running the query, and must reflect current statistics).
-fn handle_explain(shared: &Shared, request: &Request) -> Response {
-    let terms = match terms_of(request) {
-        Ok(terms) => terms,
-        Err(response) => return response,
-    };
-    let k = match parse_usize(request, "k", 10) {
-        Ok(k) => k,
-        Err(response) => return response,
-    };
-    let pick = match pick_params(request) {
-        Ok(pick) => pick,
-        Err(response) => return response,
-    };
-    let min_score = match parse_opt_f64(request, "min_score") {
-        Ok(min_score) => min_score,
-        Err(response) => return response,
-    };
-    let db = read_lock(&shared.db);
-    let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
-    let text = db.explain(&term_refs, pick, k, min_score);
-    Response::json(
-        200,
-        format!("{{\"explain\":{}}}", render::json_string(&text)),
-    )
 }
 
 fn handle_batch(shared: &Shared, request: &Request, deadline: Instant) -> Response {
@@ -1089,12 +800,8 @@ fn handle_batch(shared: &Shared, request: &Request, deadline: Instant) -> Respon
             ),
         );
     }
-    let k = match parse_usize(request, "k", 10) {
-        Ok(k) => k,
-        Err(response) => return response,
-    };
-    let pick = match pick_params(request) {
-        Ok(pick) => pick,
+    let (k, pick) = match k_and_pick(request) {
+        Ok(k_and_pick) => k_and_pick,
         Err(response) => return response,
     };
     if expired(deadline) {
@@ -1341,7 +1048,7 @@ fn handle_remove_document(shared: &Shared, name: &str) -> Response {
 /// cooperatively every few milliseconds. Exists so tests and the load
 /// generator can create precise overload and deadline-expiry conditions.
 fn handle_sleep(request: &Request, deadline: Instant) -> Response {
-    let ms = match parse_usize(request, "ms", 100) {
+    let ms = match parse_param(request, "ms", 100usize) {
         Ok(ms) => ms,
         Err(response) => return response,
     };

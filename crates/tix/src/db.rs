@@ -3,13 +3,15 @@
 use std::sync::{Arc, Mutex};
 
 use tix_core::scoring::ScoreContext;
-use tix_exec::parallel::{phrase_finder_parallel, term_join_parallel};
+use tix_exec::parallel::term_join_parallel;
 use tix_exec::pick::PickParams;
 use tix_exec::scored::{sort_by_node, ScoredNode};
-use tix_exec::termjoin::{SimpleScorer, TermJoinScorer};
+use tix_exec::termjoin::SimpleScorer;
 use tix_index::{IndexReader, InvertedIndex};
 use tix_pack::PackIndex;
-use tix_query::{LogicalPlan, PhysicalPlan, PlanChoice, PlanStats, Scoring, TermSearch};
+use tix_query::{
+    LogicalPlan, PhraseSearch, PlanChoice, PlanInputs, PlanStats, Scoring, TermSearch,
+};
 use tix_store::{DocId, LoadError, RemoveError, Store};
 
 /// The two physical index representations a database can serve from.
@@ -78,16 +80,96 @@ impl Default for Database {
 /// term *case* is preserved — index lookups are exact-string, so case
 /// folding here would change results.
 ///
-/// [`Database::search`] applies this to its input, so two queries with the
-/// same normalized form are guaranteed identical results; `tix-server`'s
-/// result cache and [`Database::search_batch`]'s deduplication both key on
-/// this form for exactly that reason.
+/// Every [`SearchRequest`] constructor applies this to its input, so two
+/// queries with the same normalized form are guaranteed identical
+/// results; `tix-server`'s result cache and [`Database::search_batch`]'s
+/// deduplication both key on this form for exactly that reason.
 pub fn normalize_query<S: AsRef<str>>(terms: &[S]) -> Vec<String> {
     terms
         .iter()
         .map(|t| t.as_ref().trim().to_string())
         .filter(|t| !t.is_empty())
         .collect()
+}
+
+/// What a read computes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReadKind {
+    /// Scoring (uniform weights) → stack-based Pick → top-k: the classic
+    /// IR pipeline over the TermJoin family of access methods.
+    Terms {
+        /// The Pick stage's parameters.
+        pick: PickParams,
+    },
+    /// The exact phrase (PhraseFinder): text nodes with their occurrence
+    /// counts as scores, in document order.
+    Phrase,
+}
+
+/// One read: everything [`Database::run`] needs to plan and execute it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchRequest {
+    /// Query terms in [`normalize_query`] form; the constructors
+    /// normalize, so equal requests are equal reads.
+    terms: Vec<String>,
+    /// What to compute.
+    pub kind: ReadKind,
+    /// Result budget; `usize::MAX` for none.
+    pub k: usize,
+    /// Exclusive minimum score: only results with `score > min_score`.
+    pub min_score: Option<f64>,
+    /// Top `k` **with ties**, for the cluster's scatter-gather merge:
+    /// every result whose score ties the k-th is kept, so truncation
+    /// never splits a tie, and [`SearchResponse::withheld_bound`] bounds
+    /// the rest. `k == 0` counts as `k == 1` (no finite exclusive bound
+    /// covers "everything withheld").
+    pub ties: bool,
+}
+
+impl SearchRequest {
+    /// A [`ReadKind::Terms`] read of the top `k` above `min_score`.
+    pub fn search<S: AsRef<str>>(
+        terms: &[S],
+        pick: PickParams,
+        k: usize,
+        min_score: Option<f64>,
+    ) -> Self {
+        SearchRequest {
+            terms: normalize_query(terms),
+            kind: ReadKind::Terms { pick },
+            k,
+            min_score,
+            ties: false,
+        }
+    }
+
+    /// A [`ReadKind::Phrase`] read of every match.
+    pub fn phrase<S: AsRef<str>>(terms: &[S]) -> Self {
+        SearchRequest {
+            terms: normalize_query(terms),
+            kind: ReadKind::Phrase,
+            k: usize::MAX,
+            min_score: None,
+            ties: false,
+        }
+    }
+
+    /// The normalized query terms.
+    pub fn terms(&self) -> &[String] {
+        &self.terms
+    }
+}
+
+/// The answer to a [`SearchRequest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SearchResponse {
+    /// Best first for a term search; document order for a phrase.
+    pub results: Vec<ScoredNode>,
+    /// For a `ties` read, the *exclusive* upper bound on every withheld
+    /// score (the k-th score; all its ties are kept), checked by
+    /// [`tix_invariants::try_scatter_merge_bound`]. `None` when nothing
+    /// was withheld, and always without `ties`.
+    pub withheld_bound: Option<f64>,
 }
 
 impl Database {
@@ -168,13 +250,15 @@ impl Database {
         tix_invariants::check! {
             if let Some(IndexRepr::Mem(index)) = &self.index {
                 let mut maintained = Vec::new();
-                index
-                    .save_snapshot(&mut maintained)
-                    .expect("serialize maintained index");
                 let mut rebuilt = Vec::new();
-                InvertedIndex::build(&self.store)
-                    .save_snapshot(&mut rebuilt)
-                    .expect("serialize rebuilt index");
+                let saved = (
+                    index.save_snapshot(&mut maintained),
+                    InvertedIndex::build(&self.store).save_snapshot(&mut rebuilt),
+                );
+                assert!(
+                    matches!(saved, (Ok(()), Ok(()))),
+                    "serialize maintained and rebuilt index: {saved:?}"
+                );
                 assert!(
                     maintained == rebuilt,
                     "incrementally maintained index diverged from a from-scratch rebuild"
@@ -278,6 +362,7 @@ impl Database {
     pub fn index(&self) -> &dyn IndexReader {
         self.index
             .as_ref()
+            // lint:allow(no-unwrap): the documented contract; every query needs an index
             .expect("call Database::build_index() after loading documents")
             .reader()
     }
@@ -316,12 +401,8 @@ impl Database {
     /// with uniform weights, via the TermJoin access method. Results are
     /// sorted by descending score (ties in document order).
     pub fn term_join(&self, terms: &[&str]) -> Vec<ScoredNode> {
-        self.term_join_with(terms, &SimpleScorer::uniform())
-    }
-
-    /// [`Database::term_join`] with a custom scorer.
-    pub fn term_join_with<S: TermJoinScorer>(&self, terms: &[&str], scorer: &S) -> Vec<ScoredNode> {
-        let mut out = term_join_parallel(&self.store, self.index(), terms, scorer, self.threads);
+        let scorer = SimpleScorer::uniform();
+        let mut out = term_join_parallel(&self.store, self.index(), terms, &scorer, self.threads);
         out.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
@@ -331,88 +412,82 @@ impl Database {
         out
     }
 
-    /// Text nodes containing the exact phrase, with occurrence counts
-    /// (PhraseFinder access method).
-    pub fn find_phrase(&self, phrase_terms: &[&str]) -> Vec<ScoredNode> {
-        sort_by_node(phrase_finder_parallel(
-            &self.store,
-            self.index(),
-            phrase_terms,
-            self.threads,
-        ))
-    }
-
-    /// The classic end-to-end IR pipeline: scoring → stack-based Pick
-    /// (parent/child redundancy elimination) → top-k. Returns at most `k`
-    /// picked elements, best first. Terms are normalized with
-    /// [`normalize_query`] first, so e.g. `" rust "` and `"rust"` are the
-    /// same query.
+    /// The one read path: lower `request` to a logical plan, let the
+    /// cost-based planner pick the physical plan ([`Database::plan`]), and
+    /// execute it. Every candidate plan returns byte-identical results, so
+    /// the choice affects time only; [`Database::explain`] shows it.
     ///
-    /// The physical evaluation is chosen by the **cost-based planner**
-    /// ([`Database::plan`]): TermJoin, one of the Sec. 6 baselines, or the
-    /// Threshold-pushdown scan. Every candidate returns byte-identical
-    /// results, so the choice affects time only; [`Database::explain`]
-    /// shows it, [`Database::search_with_plan`] overrides it.
-    pub fn search(&self, terms: &[&str], pick: PickParams, k: usize) -> Vec<ScoredNode> {
-        // Never cancelled, so always Some.
-        self.search_cancellable(terms, pick, k, &|| false)
-            .unwrap_or_default()
-    }
-
-    /// [`Database::search`] with cooperative cancellation: `cancelled` is
-    /// consulted between the pipeline's operator stages (before TermJoin,
-    /// between TermJoin and Pick, and between Pick and top-k) and the
-    /// search returns `None` as soon as it reports `true`. This is the
-    /// serving layer's deadline hook — an expired request stops paying for
-    /// the remaining stages instead of computing a result nobody reads.
-    pub fn search_cancellable(
+    /// `cancelled` is consulted between the pipeline's operator stages
+    /// (before scoring, between scoring and Pick, and between Pick and
+    /// top-k) and the read returns `None` as soon as it reports `true`.
+    /// This is the serving layer's deadline hook: an expired request stops
+    /// paying for the remaining stages.
+    pub fn run(
         &self,
-        terms: &[&str],
-        pick: PickParams,
-        k: usize,
+        request: &SearchRequest,
         cancelled: &dyn Fn() -> bool,
-    ) -> Option<Vec<ScoredNode>> {
-        let normalized = normalize_query(terms);
-        self.search_stages(&normalized, pick, k, cancelled)
+    ) -> Option<SearchResponse> {
+        self.run_on(request, cancelled, self.threads)
     }
 
-    /// The staged pipeline behind [`Database::search_cancellable`];
-    /// `terms` must already be in [`normalize_query`] form.
-    fn search_stages(
+    /// [`Database::run`] on `threads` workers.
+    fn run_on(
         &self,
-        terms: &[String],
-        pick: PickParams,
-        k: usize,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Option<Vec<ScoredNode>> {
-        self.search_stages_threads(terms, pick, k, cancelled, self.threads)
-    }
-
-    fn search_stages_threads(
-        &self,
-        terms: &[String],
-        pick: PickParams,
-        k: usize,
+        request: &SearchRequest,
         cancelled: &dyn Fn() -> bool,
         threads: usize,
-    ) -> Option<Vec<ScoredNode>> {
-        self.search_planned(terms, pick, k, None, cancelled, threads)
+    ) -> Option<SearchResponse> {
+        let (logical, inputs, _) = self.lower(request);
+        let choice = tix_query::choose(&logical, &inputs);
+        let mut results = tix_query::execute(
+            &self.store,
+            self.index(),
+            &logical,
+            &choice.chosen.plan,
+            threads,
+            cancelled,
+        )?
+        .results;
+        let withheld_bound = if request.ties {
+            withhold_below_kth(&mut results, request.k.max(1))
+        } else {
+            None
+        };
+        if request.kind == ReadKind::Phrase {
+            // `execute` ranks phrase matches by count; a phrase answer is
+            // in document order.
+            results = sort_by_node(results);
+        }
+        Some(SearchResponse {
+            results,
+            withheld_bound,
+        })
     }
 
-    /// The logical plan behind every `search*` entry point.
-    fn term_search(
-        terms: &[String],
-        pick: PickParams,
-        k: usize,
-        min_score: Option<f64>,
-    ) -> LogicalPlan {
-        LogicalPlan::TermSearch(TermSearch {
-            terms: terms.to_vec(),
-            scoring: Scoring::SimpleUniform,
-            pick: Some(pick),
-            k,
-            min_score,
-        })
+    /// The lowering [`Database::run`], [`Database::plan`] and
+    /// [`Database::explain`] share: the request's logical plan, the
+    /// planner inputs for its terms, and the statistics snapshot they came
+    /// from. A `ties` request is planned without its rank cutoff.
+    fn lower(&self, request: &SearchRequest) -> (LogicalPlan, PlanInputs, Arc<PlanStats>) {
+        let k = if request.ties { usize::MAX } else { request.k };
+        let terms = request.terms.clone();
+        let logical = match request.kind {
+            ReadKind::Terms { pick } => LogicalPlan::TermSearch(TermSearch {
+                terms,
+                scoring: Scoring::SimpleUniform,
+                pick: Some(pick),
+                k,
+                min_score: request.min_score,
+            }),
+            ReadKind::Phrase => LogicalPlan::Phrase(PhraseSearch {
+                terms,
+                k,
+                min_score: request.min_score,
+            }),
+        };
+        let stats = self.plan_stats();
+        let inputs = stats.inputs(self.index(), &request.terms);
+        (logical, inputs, stats)
     }
 
     /// The per-generation planner-statistics snapshot (gathered at most
@@ -429,37 +504,18 @@ impl Database {
         stats
     }
 
-    /// Plan and execute: the cost-based route every search takes.
-    fn search_planned(
-        &self,
-        terms: &[String],
-        pick: PickParams,
-        k: usize,
-        min_score: Option<f64>,
-        cancelled: &dyn Fn() -> bool,
-        threads: usize,
-    ) -> Option<Vec<ScoredNode>> {
-        let logical = Self::term_search(terms, pick, k, min_score);
-        let stats = self.plan_stats();
-        let inputs = stats.inputs(self.index(), terms);
-        let choice = tix_query::choose(&logical, &inputs);
-        let run = tix_query::execute(
-            &self.store,
-            self.index(),
-            &logical,
-            &choice.chosen.plan,
-            threads,
-            cancelled,
-        )?;
-        Some(run.results)
+    /// The classic end-to-end IR pipeline: scoring → stack-based Pick
+    /// (parent/child redundancy elimination) → top-k, through
+    /// [`Database::run`]. Returns at most `k` picked elements, best first.
+    pub fn search(&self, terms: &[&str], pick: PickParams, k: usize) -> Vec<ScoredNode> {
+        self.search_filtered(terms, pick, k, None, &|| false)
+            .unwrap_or_default()
     }
 
     /// [`Database::search`] with a value threshold pushed into the
-    /// pipeline: only nodes with `score > min_score` are returned (the
-    /// dialect's `Threshold $v/@score > min stop after k`). With a low
-    /// `k` or a high threshold the planner can choose the pushdown scan,
-    /// which stops reading postings once the §4.2 score bound proves the
-    /// tail irrelevant.
+    /// pipeline — only nodes with `score > min_score` are returned (the
+    /// dialect's `Threshold $v/@score > min stop after k`) — and
+    /// cooperative cancellation, as in [`Database::run`].
     pub fn search_filtered(
         &self,
         terms: &[&str],
@@ -468,43 +524,16 @@ impl Database {
         min_score: Option<f64>,
         cancelled: &dyn Fn() -> bool,
     ) -> Option<Vec<ScoredNode>> {
-        let normalized = normalize_query(terms);
-        self.search_planned(&normalized, pick, k, min_score, cancelled, self.threads)
+        let request = SearchRequest::search(terms, pick, k, min_score);
+        self.run(&request, cancelled).map(|r| r.results)
     }
 
-    /// [`Database::search`] variant for the cluster's scatter-gather
-    /// merge: the top `k` results **with ties** — every result whose
-    /// score ties the k-th is included, so truncation never splits a tie
-    /// — plus an *exclusive* upper bound on the scores it withheld
-    /// (`None` when nothing was withheld).
-    ///
-    /// The bound is exactly the k-th score: all k-th-score ties are
-    /// returned, so every hidden score is strictly below it. A
-    /// coordinator merging per-shard responses proves its global top-k
-    /// exact against these bounds with
-    /// [`tix_invariants::try_scatter_merge_bound`]. `k == 0` is treated
-    /// as `k == 1` (no finite exclusive bound covers "everything
-    /// withheld").
-    pub fn search_with_ties(
-        &self,
-        terms: &[&str],
-        pick: PickParams,
-        k: usize,
-    ) -> (Vec<ScoredNode>, Option<f64>) {
-        let k = k.max(1);
-        let all = self.search(terms, pick, usize::MAX);
-        if all.len() <= k {
-            return (all, None);
-        }
-        let kth = all[k - 1].score;
-        // Sorted descending, so `score >= kth` is a prefix.
-        let cut = all.partition_point(|s| s.score >= kth);
-        if cut >= all.len() {
-            return (all, None);
-        }
-        let mut kept = all;
-        kept.truncate(cut);
-        (kept, Some(kth))
+    /// Text nodes containing the exact phrase, with occurrence counts
+    /// (PhraseFinder access method), in document order.
+    pub fn find_phrase(&self, phrase_terms: &[&str]) -> Vec<ScoredNode> {
+        self.run(&SearchRequest::phrase(phrase_terms), &|| false)
+            .map(|r| r.results)
+            .unwrap_or_default()
     }
 
     /// The planner's decision for a search, without executing it: every
@@ -516,38 +545,8 @@ impl Database {
         k: usize,
         min_score: Option<f64>,
     ) -> PlanChoice {
-        let normalized = normalize_query(terms);
-        let logical = Self::term_search(&normalized, pick, k, min_score);
-        let stats = self.plan_stats();
-        let inputs = stats.inputs(self.index(), &normalized);
+        let (logical, inputs, _) = self.lower(&SearchRequest::search(terms, pick, k, min_score));
         tix_query::choose(&logical, &inputs)
-    }
-
-    /// Run a search with an explicitly chosen physical plan, bypassing
-    /// the cost model — the differential-testing and experimentation
-    /// hook. Results are byte-identical to [`Database::search_filtered`]
-    /// for **every** candidate plan (enforced by the plan-equivalence
-    /// suite).
-    pub fn search_with_plan(
-        &self,
-        terms: &[&str],
-        pick: PickParams,
-        k: usize,
-        min_score: Option<f64>,
-        plan: &PhysicalPlan,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Option<Vec<ScoredNode>> {
-        let normalized = normalize_query(terms);
-        let logical = Self::term_search(&normalized, pick, k, min_score);
-        let run = tix_query::execute(
-            &self.store,
-            self.index(),
-            &logical,
-            plan,
-            self.threads,
-            cancelled,
-        )?;
-        Some(run.results)
     }
 
     /// Render the EXPLAIN report for a search: the statistics the planner
@@ -559,10 +558,8 @@ impl Database {
         k: usize,
         min_score: Option<f64>,
     ) -> String {
-        let normalized = normalize_query(terms);
-        let logical = Self::term_search(&normalized, pick, k, min_score);
-        let stats = self.plan_stats();
-        let inputs = stats.inputs(self.index(), &normalized);
+        let request = SearchRequest::search(terms, pick, k, min_score);
+        let (logical, inputs, stats) = self.lower(&request);
         let choice = tix_query::choose(&logical, &inputs);
         tix_query::explain::render(&logical, &inputs, &choice, stats.df_histogram.as_ref())
     }
@@ -582,23 +579,27 @@ impl Database {
         pick: PickParams,
         k: usize,
     ) -> Vec<Vec<ScoredNode>> {
-        let normalized: Vec<Vec<String>> = queries.iter().map(|q| normalize_query(q)).collect();
+        let requests: Vec<SearchRequest> = queries
+            .iter()
+            .map(|q| SearchRequest::search(q, pick, k, None))
+            .collect();
         // First occurrence index of each distinct normalized query, and
         // each query's slot in the deduplicated dispatch list.
         let mut first_of: std::collections::HashMap<&[String], usize> =
             std::collections::HashMap::new();
-        let mut unique: Vec<&Vec<String>> = Vec::new();
+        let mut unique: Vec<&SearchRequest> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(queries.len());
-        for q in &normalized {
-            let slot = *first_of.entry(q.as_slice()).or_insert_with(|| {
-                unique.push(q);
+        for request in &requests {
+            let slot = *first_of.entry(request.terms()).or_insert_with(|| {
+                unique.push(request);
                 unique.len() - 1
             });
             slot_of.push(slot);
         }
         let unique_results: Vec<Vec<ScoredNode>> =
-            tix_parallel::parallel_map(&unique, self.threads, |terms| {
-                self.search_stages_threads(terms, pick, k, &|| false, 1)
+            tix_parallel::parallel_map(&unique, self.threads, |request| {
+                self.run_on(request, &|| false, 1)
+                    .map(|r| r.results)
                     .unwrap_or_default()
             });
         slot_of
@@ -606,6 +607,21 @@ impl Database {
             .map(|slot| unique_results.get(slot).cloned().unwrap_or_default())
             .collect()
     }
+}
+
+/// Cut a best-first ranking after the `k`-th result's score, keeping
+/// every result that ties it, and return that score as the *exclusive*
+/// bound on what was cut: every withheld score is strictly below it.
+/// `None` when nothing was cut.
+fn withhold_below_kth(results: &mut Vec<ScoredNode>, k: usize) -> Option<f64> {
+    let kth = results.get(k.checked_sub(1)?)?.score;
+    // Sorted descending, so `score >= kth` is a prefix.
+    let cut = results.partition_point(|s| s.score >= kth);
+    if cut >= results.len() {
+        return None;
+    }
+    results.truncate(cut);
+    Some(kth)
 }
 
 #[cfg(test)]
@@ -698,6 +714,9 @@ mod tests {
             fraction: 0.5,
         };
         let search = db.search(&["rust"], pick, 10);
+        let ties = with_ties(&["rust"], pick, 2);
+        let run = db.run(&ties, &|| false);
+        assert!(run.as_ref().is_some_and(|r| r.withheld_bound.is_some()));
         for threads in [2, 8] {
             db.set_threads(threads);
             db.build_index();
@@ -712,6 +731,7 @@ mod tests {
                 "{threads} threads"
             );
             assert_eq!(db.search(&["rust"], pick, 10), search, "{threads} threads");
+            assert_eq!(db.run(&ties, &|| false), run, "{threads} threads");
         }
     }
 
@@ -850,21 +870,20 @@ mod tests {
     }
 
     #[test]
-    fn search_cancellable_stops_between_stages() {
+    fn run_stops_between_stages() {
         let db = db();
         let pick = PickParams {
             relevance_threshold: 1.0,
             fraction: 0.5,
         };
-        assert!(db
-            .search_cancellable(&["rust"], pick, 5, &|| true)
-            .is_none());
-        let full = db.search_cancellable(&["rust"], pick, 5, &|| false);
+        let request = SearchRequest::search(&["rust"], pick, 5, None);
+        assert!(db.run(&request, &|| true).is_none());
+        let full = db.run(&request, &|| false).map(|r| r.results);
         assert_eq!(full, Some(db.search(&["rust"], pick, 5)));
         // Cancel only after the first checkpoint has passed: flip on the
         // second poll.
         let polls = std::cell::Cell::new(0u32);
-        let late = db.search_cancellable(&["rust"], pick, 5, &|| {
+        let late = db.run(&request, &|| {
             polls.set(polls.get() + 1);
             polls.get() >= 2
         });
@@ -896,8 +915,15 @@ mod tests {
         );
     }
 
+    fn with_ties(terms: &[&str], pick: PickParams, k: usize) -> SearchRequest {
+        SearchRequest {
+            ties: true,
+            ..SearchRequest::search(terms, pick, k, None)
+        }
+    }
+
     #[test]
-    fn search_with_ties_never_splits_a_tie_and_bounds_the_rest() {
+    fn run_with_ties_never_splits_a_tie_and_bounds_the_rest() {
         let db = multi_doc_db();
         let pick = PickParams {
             relevance_threshold: 1.0,
@@ -905,8 +931,12 @@ mod tests {
         };
         let all = db.search(&["rust"], pick, usize::MAX);
         assert!(all.len() >= 3, "need a multi-result corpus");
+        let run = |k| db.run(&with_ties(&["rust"], pick, k), &|| false).unwrap();
         for k in 1..=all.len() + 1 {
-            let (kept, bound) = db.search_with_ties(&["rust"], pick, k);
+            let SearchResponse {
+                results: kept,
+                withheld_bound: bound,
+            } = run(k);
             // The kept prefix is exactly the full ranking's head.
             assert_eq!(kept[..], all[..kept.len()]);
             assert!(kept.len() >= k.min(all.len()));
@@ -922,10 +952,13 @@ mod tests {
             }
         }
         // k == 0 behaves as k == 1.
-        assert_eq!(
-            db.search_with_ties(&["rust"], pick, 0),
-            db.search_with_ties(&["rust"], pick, 1)
-        );
+        assert_eq!(run(0), run(1));
+        // Without ties nothing is reported withheld.
+        let plain = db
+            .run(&SearchRequest::search(&["rust"], pick, 1, None), &|| false)
+            .unwrap();
+        assert_eq!(plain.withheld_bound, None);
+        assert_eq!(plain.results, all[..1]);
     }
 
     #[test]
@@ -935,19 +968,29 @@ mod tests {
             relevance_threshold: 1.0,
             fraction: 0.5,
         };
+        let terms = ["rust", "xml"];
         for (k, min) in [(3, None), (100, Some(1.5)), (1, Some(0.0))] {
-            let chosen = db
-                .search_filtered(&["rust", "xml"], pick, k, min, &|| false)
-                .unwrap();
-            let choice = db.plan(&["rust", "xml"], pick, k, min);
+            let chosen = db.search_filtered(&terms, pick, k, min, &|| false).unwrap();
+            let choice = db.plan(&terms, pick, k, min);
             assert!(choice
                 .candidates
                 .iter()
                 .any(|c| c.plan == choice.chosen.plan));
+            let logical = LogicalPlan::TermSearch(TermSearch {
+                terms: normalize_query(&terms),
+                scoring: Scoring::SimpleUniform,
+                pick: Some(pick),
+                k,
+                min_score: min,
+            });
             for c in &choice.candidates {
-                let forced = db
-                    .search_with_plan(&["rust", "xml"], pick, k, min, &c.plan, &|| false)
-                    .unwrap();
+                let threads = db.threads();
+                let forced =
+                    tix_query::execute(db.store(), db.index(), &logical, &c.plan, threads, &|| {
+                        false
+                    })
+                    .unwrap()
+                    .results;
                 assert_eq!(forced, chosen, "plan {} diverged", c.plan.label());
             }
         }

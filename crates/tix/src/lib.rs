@@ -48,5 +48,5 @@ pub use tix_xml as xml;
 mod db;
 pub mod persist;
 
-pub use db::{normalize_query, Database};
+pub use db::{normalize_query, Database, ReadKind, SearchRequest, SearchResponse};
 pub use persist::PersistError;
