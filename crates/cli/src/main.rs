@@ -883,7 +883,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
 }
 
 /// Parse `serve` arguments into a path (snapshot, or ingestion directory
-/// with `--live`) and a [`ServerConfig`]. Split out from `dispatch` so
+/// with `--live`) and a [`tix_server::ServerConfig`]. Split out from `dispatch` so
 /// argument handling is testable without binding a socket.
 fn parse_serve_args(rest: &[String]) -> Result<(String, bool, tix_server::ServerConfig), String> {
     let first = rest

@@ -45,11 +45,6 @@ impl Collection {
         &self.trees
     }
 
-    /// Mutable tree access for operators.
-    pub fn trees_mut(&mut self) -> &mut Vec<ScoredTree> {
-        &mut self.trees
-    }
-
     /// Number of trees.
     pub fn len(&self) -> usize {
         self.trees.len()

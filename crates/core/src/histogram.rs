@@ -102,22 +102,6 @@ impl ScoreHistogram {
         }
         self.max
     }
-
-    /// How many observations are ≥ `threshold` (approximate: bucket
-    /// granularity).
-    pub fn count_at_least(&self, threshold: f64) -> usize {
-        if self.count == 0 || threshold <= self.min {
-            return self.count;
-        }
-        if threshold > self.max {
-            return 0;
-        }
-        // lint:allow(no-as-cast): float→usize truncation is the bucket rule; clamped below
-        let raw = ((threshold - self.min) / self.bucket_width) as usize;
-        let idx = raw.min(self.buckets.len() - 1);
-        // lint:allow(no-slice-index): idx clamped to len - 1 above
-        self.buckets[idx..].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +113,6 @@ mod tests {
         let h = ScoreHistogram::build(std::iter::empty(), 8);
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.count_at_least(1.0), 0);
     }
 
     #[test]
@@ -144,22 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn count_at_least() {
-        let scores: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let h = ScoreHistogram::build(scores, 10);
-        assert_eq!(h.count_at_least(0.0), 100);
-        let above_half = h.count_at_least(50.0);
-        assert!((40..=60).contains(&above_half), "got {above_half}");
-        assert_eq!(h.count_at_least(1000.0), 0);
-    }
-
-    #[test]
     fn single_value() {
         let h = ScoreHistogram::build([2.5, 2.5, 2.5], 4);
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 2.5);
         assert_eq!(h.max(), 2.5);
-        assert_eq!(h.count_at_least(2.5), 3);
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub const GROUP_ROOT_TAG: &str = "tix_group_root";
 /// subtree of one synthetic group root (bound to `group_var`), ordered by
 /// descending score of each tree's best `var`-bound entry. Trees without a
 /// scored `var` binding sort last, in input order.
+// lint:allow(unused-pub): §3.3.1 defines K-thresholding through this grouping; the tests check it against `threshold`
 pub fn group_order_by_score(
     input: &Collection,
     var: PatternNodeId,
@@ -59,6 +60,7 @@ pub fn group_order_by_score(
 /// The complementary projection: split a grouped tree back into its
 /// member subtrees, keeping only the **leftmost `k`** (the top-K results
 /// when the group was score-ordered).
+// lint:allow(unused-pub): §3.3.1's projection half of K-thresholding; the tests check it against `threshold`
 pub fn retain_leftmost(grouped: &ScoredTree, k: usize) -> Collection {
     let mut out = Collection::new();
     // Member subtrees are the children of entry 0, in entry order.

@@ -45,6 +45,7 @@ fn graft(out: &mut ScoredTree, tree: &ScoredTree) {
 
 /// The product: every pair of trees from the two inputs, joined under a
 /// fresh `tix_prod_root` element bound to `root_var`.
+// lint:allow(unused-pub): §3.2.3's scored product, the algebra's executable definition, exercised by its unit tests
 pub fn product(c1: &Collection, c2: &Collection, root_var: PatternNodeId) -> Collection {
     let mut out = Collection::new();
     for t1 in c1.iter() {

@@ -172,6 +172,7 @@ pub fn pick(
 /// entries sharing the same parent and the same class (per `same_class`),
 /// keep only the first in document order — the paper's "returning only the
 /// first author of the relevant article" example.
+// lint:allow(unused-pub): §3.3.2's horizontal Pick, carrying the pick-horizontal-dedup invariant; exercised by its unit tests
 pub fn horizontal_pick(
     input: &Collection,
     var: PatternNodeId,

@@ -19,7 +19,7 @@ use super::apply_derived_rules;
 ///
 /// Scoring follows Sec. 3.2.2: nodes matching primary IR-nodes are scored
 /// independently by the scoring function; nodes matching secondary
-/// IR-nodes get "the highest score [they] can possibly achieve" over the
+/// IR-nodes get "the highest score \[they\] can possibly achieve" over the
 /// retained matches. Zero-scored IR nodes are removed (Fig. 6's
 /// parenthetical), unless they are also bound to a non-IR variable in `pl`.
 pub fn project(

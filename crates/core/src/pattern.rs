@@ -327,38 +327,6 @@ impl PatternTree {
         });
     }
 
-    /// Declare a scored join condition; returns the auxiliary variable
-    /// holding the join score.
-    pub fn score_join(
-        &mut self,
-        left: PatternNodeId,
-        right: PatternNodeId,
-        scorer: Arc<dyn JoinScorer>,
-    ) -> PatternNodeId {
-        let output = self.fresh_id();
-        self.rules.push(ScoreRule::Join {
-            left,
-            right,
-            scorer,
-            output,
-        });
-        output
-    }
-
-    /// Declare a combined scoring rule for `node`.
-    pub fn score_combined(
-        &mut self,
-        node: PatternNodeId,
-        inputs: Vec<ScoreInput>,
-        combine: ScoreCombiner,
-    ) {
-        self.rules.push(ScoreRule::Combined {
-            node,
-            inputs,
-            combine,
-        });
-    }
-
     /// Strengthen existing pattern nodes with additional attribute-equality
     /// constraints `(node, attribute name, value)` — used by the query
     /// front end for `[@name="v"]` predicates, which constrain an already-

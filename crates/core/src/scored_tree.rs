@@ -171,16 +171,6 @@ impl ScoredTree {
         self.entries.iter().find(|e| e.parent.is_none())?.score
     }
 
-    /// Indexes of the direct children of entry `idx`.
-    pub fn children_of(&self, idx: usize) -> Vec<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.parent == Some(idx as u32))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Entries bound to `var`.
     pub fn bound(&self, var: PatternNodeId) -> impl Iterator<Item = (usize, &TreeEntry)> {
         self.entries
@@ -422,7 +412,8 @@ mod tests {
             ],
         );
         // c, d, e all link to a (b not retained).
-        assert_eq!(tree.children_of(0), vec![1, 2, 3]);
+        let parents: Vec<_> = (1..4).map(|i| tree.entries()[i].parent).collect();
+        assert_eq!(parents, [Some(0); 3]);
     }
 
     #[test]

@@ -27,14 +27,6 @@ impl<'a> ScoreContext<'a> {
     pub fn new(store: &'a Store) -> Self {
         ScoreContext { store, index: None }
     }
-
-    /// Context with an index.
-    pub fn with_index(store: &'a Store, index: &'a dyn IndexReader) -> Self {
-        ScoreContext {
-            store,
-            index: Some(index),
-        }
-    }
 }
 
 /// A scoring function applied to a single matched node (a primary IR
@@ -339,7 +331,10 @@ mod tests {
         store.load_str("b.xml", "<a><p>common</p></a>").unwrap();
         store.load_str("c.xml", "<a><p>common</p></a>").unwrap();
         let index = tix_index::InvertedIndex::build(&store);
-        let ctx = ScoreContext::with_index(&store, &index);
+        let ctx = ScoreContext {
+            store: &store,
+            index: Some(&index),
+        };
         let common = TfIdfScorer::new(vec!["common".into()]);
         let rare = TfIdfScorer::new(vec!["rare".into()]);
         let a_root = nref(0);

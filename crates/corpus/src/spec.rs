@@ -85,15 +85,6 @@ impl CorpusSpec {
         self
     }
 
-    /// The paper's evaluation corpus shape: INEX, "technical articles
-    /// from IEEE Transactions marked up in XML: 18 million XML elements
-    /// with a total size of 500 MB". Generating (let alone loading) this
-    /// takes a while — benches default to a scaled-down fraction and
-    /// accept an override (see `tix-bench`).
-    pub fn inex() -> Self {
-        CorpusSpec::default().with_target_bytes(500 * 1024 * 1024)
-    }
-
     /// Rough serialized-XML size estimate in bytes, for sizing corpora by
     /// target footprint. Background words average ~6 bytes plus a
     /// separator; element overhead is counted per node.
@@ -246,7 +237,10 @@ mod tests {
 
     #[test]
     fn inex_preset_is_paper_scale() {
-        let inex = CorpusSpec::inex();
+        // The paper's evaluation corpus: INEX, "technical articles from
+        // IEEE Transactions marked up in XML: 18 million XML elements with
+        // a total size of 500 MB".
+        let inex = CorpusSpec::default().with_target_bytes(500 * 1024 * 1024);
         let bytes = inex.approx_bytes();
         assert!(
             (400 * 1024 * 1024..650 * 1024 * 1024).contains(&bytes),

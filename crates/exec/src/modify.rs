@@ -141,6 +141,7 @@ pub struct JoinedPair {
 /// The condition is arbitrary ("a possible IR value join condition is a
 /// similarity condition"); pass a closure over the store / index as
 /// needed.
+// lint:allow(unused-pub): Example 5.1's scored value join, the paper's executable definition, exercised by its unit tests
 pub fn scored_value_join(
     a: &[ScoredNode],
     b: &[ScoredNode],

@@ -265,6 +265,7 @@ mod tests {
 /// appropriate score values". A single stack pass over the (document-
 /// ordered) phrase matches, exactly like TermJoin but with one implicit
 /// "term" whose per-node weight is the match count.
+// lint:allow(unused-pub): §4, PhraseFinder's count-to-score step, the paper's executable definition, exercised by its unit tests
 pub fn score_ancestors_of_phrases(store: &Store, matches: &[PhraseMatch]) -> Vec<ScoredNode> {
     let mut out = Vec::new();
     // Stack frames: (element, end key, accumulated phrase count).

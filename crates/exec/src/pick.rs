@@ -40,7 +40,7 @@ impl PickParams {
     /// asking the user for an absolute value — the paper's Sec. 5.3: "it is
     /// often unrealistic to ask the users for the exact relevance score
     /// threshold since they have no idea of the distribution of the scores
-    /// for a given query. Auxiliary data like [a] histogram … enables the
+    /// for a given query. Auxiliary data like \[a\] histogram … enables the
     /// user to specify such scores more flexibly".
     ///
     /// `quantile` = 0.9 makes the top 10 % of scored nodes "relevant".

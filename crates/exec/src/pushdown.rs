@@ -166,22 +166,6 @@ impl<'a> BlockCursor<'a> {
     }
 }
 
-/// [`search_topk`] over explicit posting-list slices (same order as the
-/// query terms) — the testable core, with no block metadata (so no
-/// per-document skipping; the §4.2 tail exit alone).
-pub fn search_topk_on_lists<S: TermJoinScorer>(
-    store: &Store,
-    lists: &[&[Posting]],
-    scorer: &S,
-    pick: Option<&PickParams>,
-    k: usize,
-    min: Option<f64>,
-    cancelled: &dyn Fn() -> bool,
-) -> Option<PushdownRun> {
-    let blocks = vec![None; lists.len()];
-    search_topk_on_lists_with_blocks(store, lists, &blocks, scorer, pick, k, min, cancelled)
-}
-
 /// [`search_topk`] over explicit posting-list slices plus optional
 /// per-term block metadata (same order as the query terms). Terms whose
 /// entry is `Some` contribute tightened tail bounds; if *any* term has
@@ -626,9 +610,17 @@ mod tests {
                 &|| false,
             )
             .unwrap();
-            let without =
-                search_topk_on_lists(&store, &lists, &scorer, Some(&pick), k, None, &|| false)
-                    .unwrap();
+            let without = search_topk_on_lists_with_blocks(
+                &store,
+                &lists,
+                &[None, None],
+                &scorer,
+                Some(&pick),
+                k,
+                None,
+                &|| false,
+            )
+            .unwrap();
             assert_eq!(with.results, without.results, "k={k}");
             assert!(
                 with.postings_scanned <= without.postings_scanned,
@@ -675,9 +667,10 @@ mod tests {
                 &|| false,
             )
             .unwrap();
-            let without = search_topk_on_lists(
+            let without = search_topk_on_lists_with_blocks(
                 &store,
                 &lists,
+                &[None],
                 &scorer,
                 Some(&pick),
                 1000,

@@ -162,94 +162,3 @@ mod tests {
         assert_eq!(fast.len(), 4); // both a's and both x's (self-match)
     }
 }
-
-/// The pair-producing variant of the stack-tree structural join: emits
-/// every `(ancestor, descendant)` pair with `ancestor.start ≤
-/// descendant.start ≤ ancestor.end`. Output is grouped by descendant in
-/// document order (the inner chain enumerated innermost-first).
-///
-/// This is the primitive of Al-Khalifa et al.'s ICDE 2001 stack-tree
-/// family that the counting variant above specializes; pattern matchers
-/// that need witnesses (rather than counts) use this one.
-pub fn structural_join_pairs(
-    store: &Store,
-    ancestors: impl IntoIterator<Item = NodeRef>,
-    descendants: &[NodeRef],
-) -> Vec<(NodeRef, NodeRef)> {
-    let mut stack: Vec<(NodeRef, u32)> = Vec::new();
-    let mut out = Vec::new();
-    let mut anc_iter = ancestors.into_iter().peekable();
-    let mut d = 0usize;
-    loop {
-        let (take_ancestor, event) = match (anc_iter.peek(), descendants.get(d)) {
-            (Some(&a), Some(&dd)) => {
-                if a <= dd {
-                    (true, a)
-                } else {
-                    (false, dd)
-                }
-            }
-            (Some(&a), None) => (true, a),
-            (None, Some(&dd)) => (false, dd),
-            (None, None) => break,
-        };
-        while let Some(&(top, end)) = stack.last() {
-            let covers =
-                top.doc == event.doc && top.node <= event.node && event.node.as_u32() <= end;
-            if covers {
-                break;
-            }
-            stack.pop();
-        }
-        if take_ancestor {
-            anc_iter.next();
-            stack.push((event, store.end_key(event).as_u32()));
-        } else {
-            for &(anc, _) in stack.iter().rev() {
-                out.push((anc, event));
-            }
-            d += 1;
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod pair_tests {
-    use super::*;
-    use tix_store::{DocId, NodeIdx};
-
-    fn nref(i: u32) -> NodeRef {
-        NodeRef::new(DocId(0), NodeIdx(i))
-    }
-
-    #[test]
-    fn pairs_match_nested_loop() {
-        let mut store = Store::new();
-        store
-            .load_str("t.xml", "<a><b><c/><c/></b><d><c/></d></a>")
-            .unwrap();
-        let ancestors: Vec<NodeRef> = store.elements_of(DocId(0)).collect();
-        let descendants = store.elements_with_tag("c").to_vec();
-        let mut fast = structural_join_pairs(&store, ancestors.clone(), &descendants);
-        let mut slow: Vec<(NodeRef, NodeRef)> = Vec::new();
-        for &a in &ancestors {
-            for &d in &descendants {
-                if a == d || store.is_ancestor(a, d) {
-                    slow.push((a, d));
-                }
-            }
-        }
-        fast.sort();
-        slow.sort();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn pairs_empty_inputs() {
-        let mut store = Store::new();
-        store.load_str("t.xml", "<a/>").unwrap();
-        assert!(structural_join_pairs(&store, std::iter::empty(), &[nref(0)]).is_empty());
-        assert!(structural_join_pairs(&store, [nref(0)], &[]).is_empty());
-    }
-}

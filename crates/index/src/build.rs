@@ -360,20 +360,6 @@ impl InvertedIndex {
             })
     }
 
-    /// Find terms whose collection frequency falls within
-    /// `[target - tolerance, target + tolerance]`, sorted by distance from
-    /// the target. Used by the benchmark harness to select query terms the
-    /// way the paper did ("we kept selecting different pairs of terms ...
-    /// with increasing term frequency").
-    pub fn terms_with_frequency_near(&self, target: usize, tolerance: usize) -> Vec<TermStats> {
-        let mut out: Vec<TermStats> = self
-            .term_stats()
-            .filter(|s| s.collection_frequency.abs_diff(target) <= tolerance)
-            .collect();
-        out.sort_by_key(|s| (s.collection_frequency.abs_diff(target), s.term.clone()));
-        out
-    }
-
     /// Count occurrences of `term` within the subtree rooted at `node` by
     /// binary-searching the posting list on the region encoding. This is the
     /// `count(term, $a/alltext())` primitive of the paper's `ScoreFoo`
@@ -604,13 +590,5 @@ mod tests {
                 "after mutating {name}"
             );
         }
-    }
-
-    #[test]
-    fn terms_with_frequency_near() {
-        let (_, index) = indexed("<a><p>x x x x</p><p>y y</p><p>z</p></a>");
-        let near2 = index.terms_with_frequency_near(2, 1);
-        let names: Vec<_> = near2.iter().map(|s| s.term.as_str()).collect();
-        assert_eq!(names, ["y", "z"]); // y exact (dist 0), z dist 1
     }
 }

@@ -39,7 +39,5 @@ mod tokenize;
 pub use build::InvertedIndex;
 pub use postings::{Posting, PostingList, TermId, TermStats};
 pub use reader::{BlockSummary, IndexReader, TermSummary};
-pub use snapshot::{
-    IndexSnapshotError, INDEX_SNAPSHOT_MAGIC, INDEX_SNAPSHOT_MIN_VERSION, INDEX_SNAPSHOT_VERSION,
-};
+pub use snapshot::{IndexSnapshotError, INDEX_SNAPSHOT_MAGIC, INDEX_SNAPSHOT_VERSION};
 pub use tokenize::{terms, tokenize, Token};

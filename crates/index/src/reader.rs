@@ -41,15 +41,6 @@ pub struct BlockSummary {
     pub max_doc_count: u32,
 }
 
-impl BlockSummary {
-    /// The block's maximum per-document score contribution as IEEE-754
-    /// bits, the exact representation persisted in the v3 metadata. Counts
-    /// up to 2^24 convert exactly, so the round-trip is lossless.
-    pub fn max_score_bits(&self) -> u64 {
-        f64::from(self.max_doc_count).to_bits()
-    }
-}
-
 /// Per-term statistics as one value (the planner's unit of lookup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermSummary {
@@ -206,16 +197,5 @@ mod tests {
         assert!(reader.term_summary("absent").is_none());
         assert_eq!(reader.doc_frequency("absent"), 0);
         assert_eq!(reader.collection_frequency("absent"), 0);
-    }
-
-    #[test]
-    fn max_score_bits_round_trips_counts() {
-        let block = BlockSummary {
-            first_doc: 0,
-            last_doc: 3,
-            postings: 128,
-            max_doc_count: 7,
-        };
-        assert_eq!(f64::from_bits(block.max_score_bits()), 7.0);
     }
 }

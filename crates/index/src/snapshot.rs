@@ -37,8 +37,6 @@ use crate::postings::{Posting, PostingList};
 pub const INDEX_SNAPSHOT_MAGIC: &[u8; 6] = b"TIXIDX";
 /// Snapshot version written by [`InvertedIndex::save_snapshot`].
 pub const INDEX_SNAPSHOT_VERSION: u8 = 2;
-/// Oldest version [`InvertedIndex::load_snapshot`] still accepts.
-pub const INDEX_SNAPSHOT_MIN_VERSION: u8 = 1;
 
 const MAGIC: &[u8; 6] = INDEX_SNAPSHOT_MAGIC;
 

@@ -444,18 +444,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Reset the log to an empty (header-only) file, atomically: a crash
-    /// during reset leaves either the old log or the fresh one, never a
-    /// partial file. Used by checkpointing after the meta file commits.
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.check_poisoned()?;
-        write_header(&self.path)?;
-        // The rename replaced the inode our append handle points at.
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.len = WAL_HEADER_LEN;
-        Ok(())
-    }
-
     /// Rotate the log aside for a non-blocking checkpoint: the current
     /// file moves to `prev` and a fresh header-only log takes its place,
     /// so new appends proceed while the checkpoint folds the frozen state.
@@ -673,20 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_leaves_an_empty_log_and_appends_continue() {
-        let path = tmp_dir("reset").join("wal.log");
-        let (mut wal, _) = Wal::open(&path).unwrap();
-        wal.append(1, &add("a.xml", "<a/>")).unwrap();
-        wal.reset().unwrap();
-        assert!(wal.is_empty());
-        wal.append(9, &add("b.xml", "<b/>")).unwrap();
-        drop(wal);
-        let (_, scan) = Wal::open(&path).unwrap();
-        assert_eq!(scan.entries.len(), 1);
-        assert_eq!(scan.entries[0].lsn, 9);
-    }
-
-    #[test]
     fn rotate_moves_records_aside_and_appends_continue() {
         let dir = tmp_dir("rotate");
         let path = dir.join("wal.log");
@@ -711,7 +685,7 @@ mod tests {
         let path = dir.join("wal.log");
         let (mut wal, _) = Wal::open(&path).unwrap();
         wal.append(1, &add("a.xml", "<a/>")).unwrap();
-        wal.reset().unwrap();
+        wal.rotate(&dir.join("wal.prev")).unwrap();
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

@@ -82,6 +82,11 @@ pub const WRITE_PATHS: &[&str] = &[
     "crates/ingest/src/engine.rs",
 ];
 
+/// Workspace-relative directories whose `.rs` files are scanned (any
+/// `target/` below them skipped). `unused-pub` counts an identifier in
+/// any of them as a use; only `crates/*/src` is checked by the other rules.
+pub const SOURCE_ROOTS: &[&str] = &["crates", "tests", "examples", "tixbench"];
+
 /// A standing per-rule, per-file exception with its justification.
 pub struct Allow {
     pub rule: &'static str,
@@ -125,6 +130,13 @@ pub fn crate_of(rel: &str) -> Option<&str> {
     let rest = rel.strip_prefix("crates/")?;
     let (name, _) = rest.split_once('/')?;
     Some(name)
+}
+
+/// True if `rel` is non-test source under `crates/*/src/` — the files the
+/// per-file rules check and where `unused-pub` looks for definitions.
+pub fn is_lib_source(rel: &str) -> bool {
+    crate_of(rel).is_some_and(|name| rel.starts_with(&format!("crates/{name}/src/")))
+        && !is_test_path(rel)
 }
 
 /// True if the file is test-only by location (integration tests, benches,

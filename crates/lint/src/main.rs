@@ -64,6 +64,10 @@ const RULES: &[(&str, &str)] = &[
         "no-bare-file-create",
         "snapshot writes must use atomic_write, not a bare File::create",
     ),
+    (
+        "unused-pub",
+        "every pub item in crates/*/src is named outside its definition and own tests",
+    ),
 ];
 
 fn main() -> ExitCode {
@@ -96,19 +100,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let files = collect_sources(&root);
+    let lexed: Vec<(String, lexer::Lexed)> = collect_sources(&root)
+        .iter()
+        .filter_map(|path| {
+            let src = std::fs::read_to_string(path).ok()?;
+            Some((rel_path(&root, path), lexer::lex(&src)))
+        })
+        .collect();
+    let scanned = lexed.len();
+    let ctxs: Vec<FileCtx<'_>> = lexed
+        .iter()
+        .map(|(rel, lx)| FileCtx::new(rel, lx))
+        .collect();
     let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for path in &files {
-        let Ok(src) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let rel = rel_path(&root, path);
-        scanned += 1;
-        let lx = lexer::lex(&src);
-        let ctx = FileCtx::new(&rel, &lx);
-        rules::run_all(&ctx, &mut findings);
+    for ctx in &ctxs {
+        rules::run_all(ctx, &mut findings);
     }
+    rules::unused_pub(&ctxs, &mut findings);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 
@@ -191,18 +199,14 @@ fn workspace_root() -> Option<PathBuf> {
     None
 }
 
-/// Every `.rs` file under `crates/*/src`, sorted for deterministic output.
-/// Integration tests and benches are skipped here; `#[cfg(test)]` spans
-/// inside src files are skipped by the rule engine.
+/// Every `.rs` file under `config::SOURCE_ROOTS` (integration tests,
+/// benches, examples and tixbench included; `target/` skipped), sorted for
+/// deterministic output. The per-file rules check only `crates/*/src` and
+/// skip its `#[cfg(test)]` spans; `unused-pub` reads every file for uses.
 fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let crates = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates) else {
-        return out;
-    };
-    for entry in entries.flatten() {
-        let src = entry.path().join("src");
-        walk(&src, &mut out);
+    for dir in config::SOURCE_ROOTS {
+        walk(&root.join(dir), &mut out);
     }
     out.sort();
     out
@@ -215,7 +219,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            walk(&path, out);
+            if path.file_name().is_some_and(|n| n != "target") {
+                walk(&path, out);
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }

@@ -67,9 +67,11 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Run every applicable rule on one file.
+/// Run every applicable per-file rule on one file. Only library and
+/// binary sources are checked; the other scanned files (tests, benches,
+/// examples, tixbench) are read for `unused-pub`'s uses alone.
 pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if config::is_test_path(ctx.rel) {
+    if !config::is_lib_source(ctx.rel) {
         return;
     }
     no_unwrap(ctx, out);
@@ -337,21 +339,13 @@ fn pub_doc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     ];
     let toks = &ctx.lx.tokens;
     for i in 0..toks.len() {
-        if ctx.is_test(i) || toks[i].text != "pub" || toks[i].kind != TokenKind::Ident {
+        if ctx.is_test(i) {
             continue;
         }
-        let mut j = i + 1;
-        // `pub(crate)` / `pub(super)` are not part of the public API.
-        if toks.get(j).map(|t| t.text.as_str()) == Some("(") {
+        let Some(j) = pub_item_keyword(toks, i) else {
             continue;
-        }
-        // Skip qualifiers: `pub async fn`, `pub unsafe fn`, `pub extern "C" fn`.
-        while toks.get(j).is_some_and(|t| {
-            matches!(t.text.as_str(), "async" | "unsafe" | "extern") || t.kind == TokenKind::Str
-        }) {
-            j += 1;
-        }
-        let Some(kw) = toks.get(j) else { continue };
+        };
+        let kw = &toks[j];
         if kw.text == "use" {
             continue; // re-exports inherit the original item's docs
         }
@@ -374,6 +368,36 @@ fn pub_doc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 "add a `///` summary line describing the contract, not the implementation",
             );
         }
+    }
+}
+
+/// If token `i` is the `pub` of a plain-`pub` item, the index of the
+/// item's keyword (`fn`, `struct`, `use`, ...), past any `const`,
+/// `unsafe`, `async` or `extern "…"` qualifiers. `pub(crate)` and
+/// `pub(super)` are not part of the public API and return `None`.
+fn pub_item_keyword(toks: &[Token], i: usize) -> Option<usize> {
+    let t = toks.get(i)?;
+    if t.text != "pub" || t.kind != TokenKind::Ident {
+        return None;
+    }
+    let mut j = i + 1;
+    if toks.get(j)?.text == "(" {
+        return None;
+    }
+    loop {
+        let t = toks.get(j)?;
+        let qualifier = match t.text.as_str() {
+            "async" | "unsafe" | "extern" => true,
+            // `pub const fn` qualifies a fn; `pub const X` is the item.
+            "const" => toks
+                .get(j + 1)
+                .is_some_and(|n| matches!(n.text.as_str(), "fn" | "unsafe" | "async" | "extern")),
+            _ => t.kind == TokenKind::Str,
+        };
+        if !qualifier {
+            return Some(j);
+        }
+        j += 1;
     }
 }
 
@@ -469,6 +493,99 @@ fn no_bare_file_create(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
+}
+
+/// `unused-pub`: a plain `pub` item in `crates/*/src` whose name no
+/// identifier token in any scanned file spells, apart from its own
+/// definition, `pub use` re-exports, and its own file's test spans.
+/// Name-based and conservative: any same-named identifier anywhere
+/// (another item, a field, a local) counts as a use, and comments and
+/// strings are not tokens, so they never do.
+pub fn unused_pub(files: &[FileCtx<'_>], out: &mut Vec<Finding>) {
+    const ITEM_KEYWORDS: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "union",
+    ];
+    // Per file, per name: (uses anywhere, uses inside test spans).
+    let counts: Vec<HashMap<&str, (usize, usize)>> = files
+        .iter()
+        .map(|ctx| {
+            let reexport = mark_pub_use(&ctx.lx.tokens);
+            let mut m: HashMap<&str, (usize, usize)> = HashMap::new();
+            for (i, t) in ctx.lx.tokens.iter().enumerate() {
+                if t.kind == TokenKind::Ident && !reexport[i] {
+                    let e = m.entry(t.text.as_str()).or_default();
+                    e.0 += 1;
+                    e.1 += usize::from(ctx.is_test(i));
+                }
+            }
+            m
+        })
+        .collect();
+    let mut total: HashMap<&str, usize> = HashMap::new();
+    for m in &counts {
+        for (name, (n, _)) in m {
+            *total.entry(name).or_default() += n;
+        }
+    }
+    for (ctx, own) in files.iter().zip(&counts) {
+        if !config::is_lib_source(ctx.rel) {
+            continue;
+        }
+        let toks = &ctx.lx.tokens;
+        for i in 0..toks.len() {
+            if ctx.is_test(i) {
+                continue;
+            }
+            let Some(j) = pub_item_keyword(toks, i) else {
+                continue;
+            };
+            let kw = &toks[j];
+            if !ITEM_KEYWORDS.contains(&kw.text.as_str()) {
+                continue;
+            }
+            let mut k = j + 1;
+            if kw.text == "static" && toks.get(k).is_some_and(|t| t.text == "mut") {
+                k += 1;
+            }
+            // A non-identifier here is a macro-generated item (`pub fn $name`).
+            let Some(name) = toks.get(k).filter(|t| t.kind == TokenKind::Ident) else {
+                continue;
+            };
+            let name = name.text.as_str();
+            let own_tests = own.get(name).map_or(0, |c| c.1);
+            let uses = total.get(name).copied().unwrap_or(0);
+            if uses.saturating_sub(1 + own_tests) == 0 {
+                push(
+                    out,
+                    ctx,
+                    "unused-pub",
+                    toks[i].line,
+                    format!(
+                        "public {} `{name}` is named nowhere but its definition, re-exports and own tests",
+                        kw.text
+                    ),
+                    "delete it; if it is the executable form of a paper definition kept for its tests, say so with `// lint:allow(unused-pub): <paper section>`",
+                );
+            }
+        }
+    }
+}
+
+/// Mark the tokens of every `pub use …;` statement: a re-export names an
+/// item without using it.
+fn mark_pub_use(toks: &[Token]) -> Vec<bool> {
+    let mut marked = vec![false; toks.len()];
+    let mut i = 0usize;
+    while i < toks.len() {
+        if pub_item_keyword(toks, i).is_some_and(|j| toks[j].text == "use") {
+            while i < toks.len() && toks[i].text != ";" {
+                marked[i] = true;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    marked
 }
 
 /// Mark the token spans covered by `#[cfg(test)]` / `#[test]` items.
@@ -817,6 +934,106 @@ mod tests {
             "fn f() {\n    // lint:allow(no-bare-file-create): scratch file in a per-run temp dir\n    let file = File::create(p);\n}"
         )
         .is_empty());
+    }
+
+    /// Names `unused-pub` flags over an in-memory file set.
+    fn unused_in(files: &[(&str, &str)]) -> Vec<String> {
+        let lexed: Vec<_> = files.iter().map(|(rel, src)| (*rel, lex(src))).collect();
+        let ctxs: Vec<_> = lexed
+            .iter()
+            .map(|(rel, lx)| FileCtx::new(rel, lx))
+            .collect();
+        let mut out = Vec::new();
+        unused_pub(&ctxs, &mut out);
+        assert!(out.iter().all(|f| f.rule == "unused-pub"));
+        out.iter()
+            .filter_map(|f| f.message.split('`').nth(1).map(str::to_string))
+            .collect()
+    }
+
+    #[test]
+    fn unused_pub_ignores_own_test_spans_but_not_other_files() {
+        let def = (
+            "crates/core/src/a.rs",
+            "pub fn lonely() {}\n#[cfg(test)]\nmod tests { #[test] fn t() { super::lonely(); } }",
+        );
+        assert_eq!(unused_in(&[def]), ["lonely"]);
+        let other_tests = (
+            "crates/exec/src/b.rs",
+            "#[cfg(test)]\nmod tests { fn t() { tix_core::lonely(); } }",
+        );
+        assert!(unused_in(&[def, other_tests]).is_empty());
+        // A use in the defining file's own non-test code counts.
+        assert!(unused_in(&[(
+            "crates/core/src/a.rs",
+            "pub fn used() {}\nfn f() { used(); }"
+        )])
+        .is_empty());
+    }
+
+    #[test]
+    fn unused_pub_counts_tests_tixbench_and_examples() {
+        let def = ("crates/store/src/a.rs", "pub fn helper() {}");
+        for user in [
+            "crates/cluster/tests/e2e.rs",
+            "tixbench/src/main.rs",
+            "examples/quickstart.rs",
+        ] {
+            let call = (user, "fn main() { tix_store::helper(); }");
+            assert!(unused_in(&[def, call]).is_empty(), "{user}");
+        }
+        // Items defined outside crates/*/src are never checked.
+        assert!(unused_in(&[("tixbench/src/main.rs", "pub fn idle() {}")]).is_empty());
+        assert!(unused_in(&[("crates/core/tests/t.rs", "pub fn idle() {}")]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_comments_and_strings_are_not_uses() {
+        let def = ("crates/core/src/a.rs", "pub fn ghost() {}");
+        let mentions = (
+            "crates/exec/src/b.rs",
+            "/// See [`ghost`].\nfn f() {\n    // ghost() was here\n    let s = \"ghost\";\n}",
+        );
+        assert_eq!(unused_in(&[def, mentions]), ["ghost"]);
+    }
+
+    #[test]
+    fn unused_pub_reexports_are_not_uses() {
+        let def = ("crates/core/src/a.rs", "pub fn relay() {}");
+        let reexport = ("crates/core/src/lib.rs", "pub use a::{other, relay};");
+        assert_eq!(unused_in(&[def, reexport]), ["relay"]);
+        // A private import that is then called is a use.
+        let import = (
+            "crates/exec/src/b.rs",
+            "use tix_core::relay;\nfn f() { relay(); }",
+        );
+        assert!(unused_in(&[def, reexport, import]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_inline_allow_suppresses() {
+        let src = "/// Sec. 3.2.3 product.\n// lint:allow(unused-pub): the paper's definition\npub fn product() {}";
+        assert!(unused_in(&[("crates/core/src/a.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_skips_restricted_visibility_and_fields() {
+        let src = "pub(crate) fn internal() {}\npub(super) fn up() {}\n\
+                   pub struct S { pub field: u32 }\nfn f(s: S) {}";
+        assert!(unused_in(&[("crates/core/src/a.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn unused_pub_checks_impl_methods_and_every_item_kind() {
+        let src = "pub struct S;\nimpl S { pub fn method(&self) {} }\nfn f() -> S { S }";
+        assert_eq!(unused_in(&[("crates/core/src/a.rs", src)]), ["method"]);
+        let src = "pub const fn c() {}\npub unsafe fn u() {}\npub async fn a() {}\n\
+                   pub extern \"C\" fn e() {}\npub static mut M: u8 = 0;\npub const K: u8 = 1;\n\
+                   pub enum E {}\npub trait T {}\npub type A = u8;\npub union U { x: u8 }";
+        assert_eq!(
+            unused_in(&[("crates/core/src/a.rs", src)]),
+            ["c", "u", "a", "e", "M", "K", "E", "T", "A", "U"]
+        );
     }
 
     #[test]

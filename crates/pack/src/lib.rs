@@ -3,7 +3,7 @@
 //! The `TIXPAK` v3 on-disk index format: delta+varint compressed
 //! positional postings in fixed-size blocks, each block carrying skip
 //! metadata (max DocId) and the block-max WAND statistic
-//! (`max_doc_count`, exposed to scorers as `max_score_bits`), framed
+//! (`max_doc_count`), framed
 //! with the same per-section CRC-32 + whole-file seal discipline as the
 //! v2 snapshot (`tix_store::persist`).
 //!

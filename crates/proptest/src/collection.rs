@@ -1,4 +1,4 @@
-//! Collection strategies: [`vec`] and [`btree_map`].
+//! Collection strategies: [`vec()`] and [`btree_map`].
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -48,7 +48,7 @@ pub fn vec<E: Strategy>(element: E, size: impl Into<SizeRange>) -> VecStrategy<E
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<E> {
     element: E,
     size: SizeRange,

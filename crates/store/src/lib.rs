@@ -44,6 +44,6 @@ mod store;
 pub use document::{DocData, LoadError};
 pub use interner::{Interner, Symbol};
 pub use node::{DocId, NodeIdx, NodeKind, NodeRec, NodeRef};
-pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::StoreStats;
 pub use store::{FrozenStore, RemoveError, Removed, Store, Tombstones};

@@ -51,8 +51,6 @@ use crate::store::{FromPartsError, Store};
 pub const SNAPSHOT_MAGIC: &[u8; 7] = b"TIXSNAP";
 /// Snapshot version written by [`Store::save_snapshot`].
 pub const SNAPSHOT_VERSION: u8 = 2;
-/// Oldest version [`Store::load_snapshot`] still accepts.
-pub const SNAPSHOT_MIN_VERSION: u8 = 1;
 
 const MAGIC: &[u8; 7] = SNAPSHOT_MAGIC;
 

@@ -312,15 +312,6 @@ impl Store {
         }
     }
 
-    /// Interned tag symbol of `node` if it is an element.
-    pub fn tag_symbol(&self, node: NodeRef) -> Option<Symbol> {
-        let rec = self.doc(node.doc).node(node.node);
-        match rec.kind() {
-            NodeKind::Element => Some(rec.tag()),
-            NodeKind::Text => None,
-        }
-    }
-
     /// Text payload of a text node (empty for elements).
     pub fn text(&self, node: NodeRef) -> &str {
         self.doc(node.doc).text(node.node)
@@ -347,12 +338,6 @@ impl Store {
     /// Depth of `node` below its document root (root = 0).
     pub fn level(&self, node: NodeRef) -> u16 {
         self.doc(node.doc).node(node.node).level()
-    }
-
-    /// Number of nodes in the subtree rooted at `node` (including itself).
-    pub fn subtree_size(&self, node: NodeRef) -> usize {
-        let rec = self.doc(node.doc).node(node.node);
-        (rec.end - node.node.as_u32()) as usize + 1
     }
 
     // ---- navigation --------------------------------------------------------
@@ -383,17 +368,6 @@ impl Store {
         anc.doc == desc.doc
             && anc.node < desc.node
             && desc.node.as_u32() <= self.doc(anc.doc).node(anc.node).end
-    }
-
-    /// True when `anc` is `desc` or a proper ancestor of it (the paper's
-    /// `ad*` / `descendant-or-self` relationship).
-    pub fn is_self_or_ancestor(&self, anc: NodeRef, desc: NodeRef) -> bool {
-        anc == desc || self.is_ancestor(anc, desc)
-    }
-
-    /// True when `parent` is the parent of `child`.
-    pub fn is_parent(&self, parent: NodeRef, child: NodeRef) -> bool {
-        self.parent(child) == Some(parent)
     }
 
     /// Iterate the direct children of `node` in document order.
@@ -468,11 +442,6 @@ impl Store {
     /// The interned symbol for `tag`, if any element uses it.
     pub fn tag(&self, tag: &str) -> Option<Symbol> {
         self.tags.get(tag)
-    }
-
-    /// Resolve a tag symbol to its name.
-    pub fn tag_str(&self, sym: Symbol) -> &str {
-        self.tags.resolve(sym)
     }
 
     /// Every element with tag `tag`, in global document order (the tag
@@ -764,7 +733,6 @@ mod tests {
         assert!(!store.is_ancestor(b, d));
         assert!(!store.is_ancestor(c, b));
         assert!(!store.is_ancestor(a, a)); // proper
-        assert!(store.is_self_or_ancestor(a, a)); // ad*
     }
 
     #[test]
@@ -972,14 +940,6 @@ mod tests {
             .map(|n| store.tag_name(n).unwrap().to_string())
             .collect();
         assert_eq!(elems, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn subtree_size() {
-        let (store, doc) = store_with("<a><b><c/></b><d/></a>");
-        assert_eq!(store.subtree_size(nref(doc, 0)), 4);
-        assert_eq!(store.subtree_size(nref(doc, 1)), 2);
-        assert_eq!(store.subtree_size(nref(doc, 3)), 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use tix_core::scoring::ScoreContext;
 use tix_exec::parallel::term_join_parallel;
 use tix_exec::pick::PickParams;
 use tix_exec::scored::{sort_by_node, ScoredNode};
@@ -387,14 +386,6 @@ impl Database {
     /// Has an index been built (or installed) since the last mutation?
     pub fn has_index(&self) -> bool {
         self.index.is_some()
-    }
-
-    /// A scoring context carrying the store and index.
-    pub fn score_context(&self) -> ScoreContext<'_> {
-        match &self.index {
-            Some(repr) => ScoreContext::with_index(&self.store, repr.reader()),
-            None => ScoreContext::new(&self.store),
-        }
     }
 
     /// Score every element containing any of `terms` (subtree containment)

@@ -30,7 +30,8 @@ pub enum PersistError {
     Store(SnapshotError),
     /// The index sidecar is malformed or corrupt.
     Index(IndexSnapshotError),
-    /// [`save_index`] was asked to save a database with no index built.
+    /// [`Database::save_index_to`] was asked to save a database with no
+    /// index built.
     NoIndex,
 }
 
@@ -108,32 +109,10 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<Store, PersistError> {
     Ok(Store::load_snapshot(bytes.as_slice())?)
 }
 
-/// Save an index snapshot to `path` atomically and durably.
-pub fn save_index(index: &InvertedIndex, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let mut bytes = Vec::new();
-    index.save_snapshot(&mut bytes)?;
-    tix_invariants::check! {
-        tix_invariants::assert_snapshot_sealed(INDEX_SNAPSHOT_MAGIC, &bytes)
-    }
-    atomic_write(path, |w| w.write_all(&bytes).map_err(PersistError::Io))
-}
-
-/// Load an index snapshot from `path`, verifying the whole-file seal
-/// before structural parsing when the file is a current-version snapshot.
-pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, PersistError> {
-    let bytes = fs::read(path)?;
-    if is_current_version(&bytes, INDEX_SNAPSHOT_MAGIC, INDEX_SNAPSHOT_VERSION) {
-        tix_invariants::try_snapshot_sealed(INDEX_SNAPSHOT_MAGIC, &bytes).map_err(|_| {
-            PersistError::Index(IndexSnapshotError::Corrupt("broken whole-file seal"))
-        })?;
-    }
-    Ok(InvertedIndex::load_snapshot(bytes.as_slice())?)
-}
-
 /// Save an index as a compressed v3 pack (`TIXPAK`) atomically and
 /// durably, streaming it into the file. The pack loader
 /// ([`tix_pack::PackIndex::open`]) verifies its own seal, so like
-/// [`save_index`] we assert the bytes we just produced would pass that
+/// [`save_store`] we assert the bytes we just produced would pass that
 /// gate.
 pub fn save_index_v3(index: &InvertedIndex, path: impl AsRef<Path>) -> Result<(), PersistError> {
     atomic_write::<PersistError, _>(&path, |w| Ok(tix_pack::write_pack(index, w)?))?;

@@ -172,17 +172,6 @@ impl Document {
         id
     }
 
-    /// Convenience: append an element with no attributes.
-    pub fn append_element(&mut self, parent: NodeId, tag: &str) -> NodeId {
-        self.append(
-            parent,
-            NodeKind::Element {
-                tag: tag.to_string(),
-                attributes: Vec::new(),
-            },
-        )
-    }
-
     /// Convenience: append a text node.
     pub fn append_text(&mut self, parent: NodeId, text: &str) -> NodeId {
         self.append(parent, NodeKind::Text(text.to_string()))
@@ -406,8 +395,12 @@ mod tests {
     fn build_programmatically() {
         let mut doc = Document::new();
         let vr = doc.virtual_root();
-        let a = doc.append_element(vr, "a");
-        let b = doc.append_element(a, "b");
+        let element = |tag: &str| NodeKind::Element {
+            tag: tag.to_string(),
+            attributes: Vec::new(),
+        };
+        let a = doc.append(vr, element("a"));
+        let b = doc.append(a, element("b"));
         doc.append_text(b, "hello");
         assert_eq!(doc.to_xml(), "<a><b>hello</b></a>");
     }

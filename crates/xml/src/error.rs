@@ -56,16 +56,6 @@ impl Error {
     pub fn offset(&self) -> usize {
         self.offset
     }
-
-    /// Resolve the error's byte offset to a 1-based `(line, column)` in
-    /// `input` (the same string that was parsed). Columns count bytes, like
-    /// most compiler diagnostics for ASCII-heavy markup.
-    pub fn line_col(&self, input: &str) -> (usize, usize) {
-        let upto = &input[..self.offset.min(input.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
-        let col = upto.len() - upto.rfind('\n').map(|p| p + 1).unwrap_or(0) + 1;
-        (line, col)
-    }
 }
 
 impl fmt::Display for Error {
@@ -97,21 +87,6 @@ impl std::error::Error for Error {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_col_resolution() {
-        let input = "<a>\n<b>\n</a>";
-        let err = Error::new(ErrorKind::UnbalancedClose("a".into()), 9);
-        assert_eq!(err.line_col(input), (3, 2));
-        let err0 = Error::new(ErrorKind::NoRootElement, 0);
-        assert_eq!(err0.line_col(input), (1, 1));
-    }
-
-    #[test]
-    fn line_col_clamps_past_end() {
-        let err = Error::new(ErrorKind::NoRootElement, 999);
-        assert_eq!(err.line_col("ab"), (1, 3));
-    }
 
     #[test]
     fn display_mentions_offset() {

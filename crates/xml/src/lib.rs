@@ -43,5 +43,5 @@ mod writer;
 pub use dom::{Document, NodeId, NodeKind};
 pub use error::{Error, Result};
 pub use escape::{escape_attr, escape_text, unescape};
-pub use reader::{collect_events, Attribute, Event, Reader};
+pub use reader::{Attribute, Event, Reader};
 pub use writer::Writer;

@@ -58,7 +58,6 @@ pub struct Reader<'a> {
     seen_root: bool,
     /// A pending `End` event synthesized for an empty-element tag.
     pending_end: Option<String>,
-    eof_emitted: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -71,7 +70,6 @@ impl<'a> Reader<'a> {
             root_closed: false,
             seen_root: false,
             pending_end: None,
-            eof_emitted: false,
         }
     }
 
@@ -141,13 +139,7 @@ impl<'a> Reader<'a> {
         if !self.seen_root {
             return Err(self.err(ErrorKind::NoRootElement));
         }
-        self.eof_emitted = true;
         Ok(Event::Eof)
-    }
-
-    /// True once `Eof` has been produced.
-    pub fn at_eof(&self) -> bool {
-        self.eof_emitted
     }
 
     fn err(&self, kind: ErrorKind) -> Error {
@@ -397,23 +389,23 @@ fn leak_tag(tag: &str) -> &'static str {
     "element content (unclosed element)"
 }
 
-/// Convenience: parse the whole input and collect all events.
-pub fn collect_events(input: &str) -> Result<Vec<Event>> {
-    let mut reader = Reader::new(input);
-    let mut events = Vec::new();
-    loop {
-        let event = reader.next_event()?;
-        let done = event == Event::Eof;
-        events.push(event);
-        if done {
-            return Ok(events);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse the whole input and collect all events.
+    fn collect_events(input: &str) -> Result<Vec<Event>> {
+        let mut reader = Reader::new(input);
+        let mut events = Vec::new();
+        loop {
+            let event = reader.next_event()?;
+            let done = event == Event::Eof;
+            events.push(event);
+            if done {
+                return Ok(events);
+            }
+        }
+    }
 
     fn ev(input: &str) -> Vec<Event> {
         collect_events(input).unwrap()
@@ -602,7 +594,6 @@ mod tests {
     fn eof_is_sticky() {
         let mut reader = Reader::new("<a/>");
         while reader.next_event().unwrap() != Event::Eof {}
-        assert!(reader.at_eof());
         assert_eq!(reader.next_event().unwrap(), Event::Eof);
     }
 }
