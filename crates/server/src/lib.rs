@@ -8,7 +8,12 @@
 //!
 //! * **Bounded admission** — a fixed worker pool behind a fixed-capacity
 //!   queue; saturation answers `503` + `Retry-After` at the accept loop
-//!   instead of buffering without bound. This front door ([`front`],
+//!   instead of buffering without bound. A `503`, like a `4xx` answered
+//!   before its request was read, is written, the write side is shut
+//!   (FIN, so the client reads it and EOF), and the unread request is
+//!   drained for at most 1 s and one request's worth of bytes before the
+//!   socket closes. A `503` is drained on one reaper thread, never on the
+//!   accept loop; a `4xx` on its worker. This front door ([`front`],
 //!   over [`queue`]) is generic over its request handler; the cluster
 //!   coordinator in `tix-cluster` serves through the same code with its
 //!   own handler.
@@ -22,9 +27,10 @@
 //! * **Live metrics** — counters, queue-depth and worker-utilization
 //!   gauges, and log-bucketed latency histograms with p50/p95/p99, as the
 //!   JSON `/metrics` document ([`metrics`]).
-//! * **Graceful shutdown** — answer new connections `503` while the
-//!   admitted queue drains and in-flight requests finish, then close the
-//!   listener and join every thread.
+//! * **Graceful shutdown** — answer new connections `503` (written, write
+//!   side shut, bounded drain, as above) while the admitted queue drains
+//!   and in-flight requests finish, then close the listener, let the
+//!   reaper finish its drains and join every thread.
 //!
 //! ## Endpoints
 //!

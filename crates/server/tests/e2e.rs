@@ -346,6 +346,57 @@ fn oversized_body_is_413_not_a_panic() {
     server.shutdown();
 }
 
+/// A request the server answers before it has read all of it must still
+/// deliver that answer: the unread rest may not turn the close into a
+/// reset that destroys the response.
+#[test]
+fn oversized_headers_are_431_and_the_client_reads_it() {
+    let server = start(ServerConfig::default());
+    // About 27 KiB of headers against the 16 KiB limit.
+    let mut request = String::from("GET /health HTTP/1.1\r\nHost: t\r\n");
+    for i in 0..432 {
+        request.push_str(&format!("X-Filler-{i:03}: {}\r\n", "a".repeat(48)));
+    }
+    request.push_str("\r\n");
+    let (status, _, _) = raw_request(&server, &request);
+    assert_eq!(status, 431);
+    let (status, _, _) = get(&server, "/health");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_body_that_is_sent_still_gets_its_413() {
+    let server = Server::start(
+        corpus_db(),
+        ServerConfig {
+            max_body: 1024,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let body = vec![b'a'; 64 * 1024];
+    let mut request = format!(
+        "POST /search/batch HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(&body);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The server reads no more than the largest request it admits (here
+    // about 25 KiB) after it has answered, so this write may fail once it
+    // lets go; the 413 must reach the client either way.
+    let _ = stream.write_all(&request);
+    let (status, _, _) = read_response(&mut stream);
+    assert_eq!(status, 413);
+    let (status, _, _) = get(&server, "/health");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
 #[test]
 fn expired_deadline_is_504() {
     let server = Server::start(
