@@ -539,7 +539,10 @@ fn handle_search(shared: &Shared, request: &Request) -> Response {
         Ok(k) => k.max(1),
         Err(_) => return Response::error(400, "bad k parameter"),
     };
-    let mut params = forward_params(request, &["q", "threshold", "fraction", "deadline_ms"]);
+    let mut params = forward_params(
+        request,
+        &["q", "threshold", "fraction", "min_score", "deadline_ms"],
+    );
     params.push(("k".to_string(), k.to_string()));
     let gathered = scatter_read(shared, "/cluster/search", &params);
     match gather(gathered, "/cluster/search", merge::parse_shard_search) {

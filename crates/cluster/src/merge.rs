@@ -274,8 +274,22 @@ fn hit_of(db: &Database, s: &tix::exec::ScoredNode) -> Hit {
 /// shard. The full ranking is re-sorted into canonical order before
 /// truncation, so the expectation is independent of load order.
 pub fn expected_search_body(db: &Database, terms: &[&str], pick: PickParams, k: usize) -> String {
+    expected_search_body_above(db, terms, pick, k, None)
+}
+
+/// [`expected_search_body`] for `/search?min_score=…`: only hits scoring
+/// above `min_score` count.
+pub fn expected_search_body_above(
+    db: &Database,
+    terms: &[&str],
+    pick: PickParams,
+    k: usize,
+    min_score: Option<f64>,
+) -> String {
     let k = k.max(1);
-    let all = db.search(terms, pick, usize::MAX);
+    let all = db
+        .search_filtered(terms, pick, usize::MAX, min_score, &|| false)
+        .unwrap_or_default();
     let mut hits: Vec<Hit> = all.iter().map(|s| hit_of(db, s)).collect();
     hits.sort_by(canonical_cmp);
     hits.truncate(k);

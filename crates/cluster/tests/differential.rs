@@ -1,6 +1,7 @@
 //! Differential property test for scatter-gather correctness: after ANY
 //! randomized interleaving of inserts, deletes, and forced checkpoints
-//! applied through the coordinator, `/search` and `/phrase` responses
+//! applied through the coordinator, `/search` (with and without
+//! `min_score`) and `/phrase` responses
 //! must be **byte-identical** — score bits included — to the canonical
 //! body computed from a single-node database holding the union corpus,
 //! for every shard count in {1, 2, 4} × per-node thread count in
@@ -42,6 +43,9 @@ const SEARCHES: [(&str, usize); 4] = [
     ("beta gamma", 5),
     ("alpha beta epsilon", 50),
 ];
+/// Searches with a `min_score` filter: `(terms, k, min_score)`. A lone
+/// `alpha` scores 1, so `1` cuts hits out of every non-trivial corpus.
+const FILTERED: [(&str, usize, f64); 2] = [("alpha beta", 50, 1.0), ("alpha", 1, 1.0)];
 const PHRASES: [&str; 2] = ["alpha beta", "beta beta"];
 
 /// Server-side `/search` defaults (threshold 0.5, fraction 0.5).
@@ -115,6 +119,26 @@ fn run_case(ops: &[Op], shards: usize, threads: usize) {
         assert_eq!(
             body, expected,
             "shards={shards} threads={threads} q={terms:?} k={k}: coordinator body diverged from single-node"
+        );
+    }
+    for (terms, k, min_score) in FILTERED {
+        let term_refs: Vec<&str> = terms.split(' ').collect();
+        let expected = merge::expected_search_body_above(
+            &union_db,
+            &term_refs,
+            server_pick(),
+            k,
+            Some(min_score),
+        );
+        let path = format!(
+            "/search?q={}&k={k}&min_score={min_score}",
+            tix_cluster::client::encode_component(terms)
+        );
+        let (status, body) = cluster.get(&path).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            body, expected,
+            "shards={shards} threads={threads} q={terms:?} k={k} min_score={min_score}: coordinator body diverged from single-node"
         );
     }
     for phrase in PHRASES {

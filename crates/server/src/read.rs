@@ -20,8 +20,9 @@ pub(crate) enum ReadRoute {
     Search,
     /// `GET /phrase?q=…`
     Phrase,
-    /// `GET /cluster/search?q=…[&k][&threshold][&fraction]` — top-k with
-    /// ties plus the withheld bound, for the coordinator's merge.
+    /// `GET /cluster/search?q=…[&k][&threshold][&fraction][&min_score]` —
+    /// top-k with ties plus the withheld bound, for the coordinator's
+    /// merge.
     ClusterSearch,
     /// `GET /cluster/phrase?q=…`
     ClusterPhrase,
@@ -68,8 +69,8 @@ pub(crate) fn k_and_pick(request: &Request) -> Result<(usize, PickParams), Respo
 /// Parse a read route's parameters, in the order the route has always
 /// read them, so a malformed request gets the same first error: `q`
 /// (400 when absent or without terms), then — for term reads — `k`,
-/// `threshold`, `fraction` and, except on `/cluster/search`, `min_score`.
-/// Phrase routes read only `q` and need two terms.
+/// `threshold`, `fraction` and `min_score`. Phrase routes read only `q`
+/// and need two terms.
 fn parse_read(request: &Request, route: ReadRoute) -> Result<SearchRequest, Response> {
     let raw = request
         .query_param("q")
@@ -85,16 +86,13 @@ fn parse_read(request: &Request, route: ReadRoute) -> Result<SearchRequest, Resp
         return Ok(SearchRequest::phrase(&terms));
     }
     let (k, pick) = k_and_pick(request)?;
-    if route == ReadRoute::ClusterSearch {
-        let mut read = SearchRequest::search(&terms, pick, k, None);
-        read.ties = true;
-        return Ok(read);
-    }
     let min_score = match request.query_param("min_score") {
         Some(raw) => Some(raw.parse().map_err(|_| bad("min_score", raw))?),
         None => None,
     };
-    Ok(SearchRequest::search(&terms, pick, k, min_score))
+    let mut read = SearchRequest::search(&terms, pick, k, min_score);
+    read.ties = route == ReadRoute::ClusterSearch;
+    Ok(read)
 }
 
 /// Serve one read route. A cache hit does no planning; a miss runs the
