@@ -26,7 +26,7 @@ use crate::scoring::ScoreContext;
 
 /// Apply the derived (non-primary) scoring rules of `S` to a tree:
 /// secondary IR-nodes (`FromDescendant`) and general combinations
-/// (`Combined`). `Primary` and `Join` rules are evaluated by the operators
+/// (`Combined`). `Primary` rules are evaluated by the operators
 /// themselves at match time and are skipped here.
 ///
 /// Derived scores are *dynamic*: operators that change the set of matching
@@ -34,7 +34,7 @@ use crate::scoring::ScoreContext;
 pub fn apply_derived_rules(_ctx: &ScoreContext<'_>, tree: &mut ScoredTree, rules: &[ScoreRule]) {
     for rule in rules {
         match rule {
-            ScoreRule::Primary { .. } | ScoreRule::Join { .. } => {}
+            ScoreRule::Primary { .. } => {}
             ScoreRule::FromDescendant { node, source, agg } => {
                 let derived = agg.apply(tree.bound(*source).filter_map(|(_, e)| e.score));
                 if let Some(score) = derived {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use tix_store::{NodeKind, NodeRef, Store};
 
-use crate::scoring::{JoinScorer, NodeScorer, ScoreContext};
+use crate::scoring::{NodeScorer, ScoreContext};
 
 /// Identifier of a pattern node (the paper labels them `$1`, `$2`, …).
 /// Also used as the identifier space for auxiliary score variables such as
@@ -183,19 +183,6 @@ pub enum ScoreRule {
         /// How multiple matches combine (Max reproduces the paper).
         agg: Agg,
     },
-    /// A scored **join condition** between two variables (Fig. 4:
-    /// `$joinScore = ScoreSim($3.content, $8.content)`); the result is
-    /// stored as an auxiliary score under `output`.
-    Join {
-        /// Left input variable.
-        left: PatternNodeId,
-        /// Right input variable.
-        right: PatternNodeId,
-        /// The similarity function.
-        scorer: Arc<dyn JoinScorer>,
-        /// Auxiliary variable that receives the score.
-        output: PatternNodeId,
-    },
     /// A general combination (Fig. 4: `$1.score = ScoreBar($joinScore,
     /// $6.score)`).
     Combined {
@@ -216,14 +203,6 @@ impl fmt::Debug for ScoreRule {
             }
             ScoreRule::FromDescendant { node, source, agg } => {
                 write!(f, "FromDescendant({node} <- {agg:?} {source})")
-            }
-            ScoreRule::Join {
-                left,
-                right,
-                output,
-                scorer,
-            } => {
-                write!(f, "Join({output} <- {}({left}, {right}))", scorer.name())
             }
             ScoreRule::Combined { node, inputs, .. } => {
                 write!(f, "Combined({node} <- {} inputs)", inputs.len())
@@ -393,7 +372,6 @@ impl PatternTree {
             ScoreRule::Primary { node, .. }
             | ScoreRule::FromDescendant { node, .. }
             | ScoreRule::Combined { node, .. } => *node == id,
-            ScoreRule::Join { .. } => false,
         })
     }
 

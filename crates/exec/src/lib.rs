@@ -18,6 +18,11 @@
 //!
 //! ## Baselines (Sec. 6)
 //!
+//! Referee code: the paper measures TermJoin and PhraseFinder against
+//! these, and so do this crate's differential suites (TermJoin ≡ Comp1
+//! ≡ Comp2 ≡ Generalized Meet, PhraseFinder ≡ Comp3) and the `reproduce`
+//! bench (Tables 1–5). The query planner never chooses them.
+//!
 //! * [`composite::comp1`] — the same functionality composed from standard
 //!   operators: per-term index scan → ancestor expansion → sort-group →
 //!   union (the paper's `Comp1`).

@@ -5,14 +5,14 @@
 //!
 //! A mutation is split into two halves:
 //!
-//! 1. **Stage** ([`CommitPipeline::stage`]) — called while the caller
+//! 1. **Stage** (`CommitPipeline::stage`) — called while the caller
 //!    holds the database write lock, *after* the mutation applied to the
 //!    in-memory database. The pipeline assigns the next LSN, encodes the
 //!    WAL frame, and pushes it onto the bounded pending queue. Because
 //!    every stager holds the database write lock, stage order == apply
 //!    order == LSN order, and the pending queue is always an LSN-contiguous
 //!    run.
-//! 2. **Commit** ([`CommitPipeline::commit`]) — called after the database
+//! 2. **Commit** (`CommitPipeline::commit`) — called after the database
 //!    lock is released. The first committer to find no I/O in progress
 //!    becomes the **leader**: it drains the whole pending queue, performs
 //!    one `write_all` (and, depending on the durability mode, one
@@ -36,7 +36,7 @@
 //!
 //! ## Failure semantics
 //!
-//! A failed batch write rolls the file back (see [`Wal::append_frames`])
+//! A failed batch write rolls the file back (see `Wal::append_frames`)
 //! but the batch's mutations are already applied in memory; the pipeline
 //! **poisons** itself — every later stage/commit errors — because memory
 //! is now ahead of a log that can no longer catch up. A poisoned pipeline
@@ -65,7 +65,7 @@ pub enum DurabilityMode {
         max_delay: Duration,
     },
     /// Commits are acknowledged once written; fsync happens only on an
-    /// explicit [`CommitPipeline::flush`] or at a checkpoint.
+    /// explicit `CommitPipeline::flush` or at a checkpoint.
     Flush,
 }
 
@@ -107,7 +107,7 @@ impl std::fmt::Display for DurabilityMode {
 }
 
 /// A staged-but-uncommitted mutation. Returned by `stage_*`; must be
-/// passed to [`CommitPipeline::commit`] (via `Ingest::commit`) to obtain
+/// passed to `CommitPipeline::commit` (via `Ingest::commit`) to obtain
 /// the durability acknowledgement.
 #[derive(Debug)]
 #[must_use = "a staged mutation is not durable until committed"]

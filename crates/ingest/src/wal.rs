@@ -28,7 +28,7 @@
 //!   [`tix_store::persist::atomic_write`] — a WAL file either has a
 //!   complete, valid header or does not exist.
 //! * [`Wal::append`] writes one whole frame with a single `write_all`
-//!   followed by `sync_all`; [`Wal::append_frames`] does the same for a
+//!   followed by `sync_all`; `Wal::append_frames` does the same for a
 //!   group-commit batch of pre-encoded frames. A record is **committed**
 //!   iff its full frame (including the trailing CRC) reached the file.
 //! * A failed write or sync **rolls back**: the file is truncated to the

@@ -110,11 +110,6 @@ pub const ALLOWS: &[Allow] = &[
     },
     Allow {
         rule: "no-slice-index",
-        path_suffix: "crates/xml/src/error.rs",
-        reason: "line/column resolution clamps offsets to the source length before slicing",
-    },
-    Allow {
-        rule: "no-slice-index",
         path_suffix: "crates/query/src/lexer.rs",
         reason: "ASCII byte-scanner; every index is guarded by an i/j < bytes.len() loop bound and slices sit on ASCII boundaries",
     },

@@ -4,10 +4,10 @@
 //! results — the planner only ever trades time, never output. That
 //! property rests on three facts, each independently tested:
 //!
-//! 1. TermJoin, Comp1, Comp2, and the Generalized Meet accumulate the
-//!    same integer occurrence counters per ancestor and fold them in the
-//!    same term order, so their scores are bit-equal (the `tix-exec`
-//!    differential suites);
+//! 1. TermJoin and Enhanced TermJoin run the same posting merge and
+//!    differ only in how complex scoring reads child counts (navigation
+//!    or the store's index), which yields the same integers, so their
+//!    scores are bit-equal (the `tix-exec` differential suites);
 //! 2. the streams feed `sort_by_node`, whose node keys are unique, so
 //!    order is canonical regardless of how the method emitted it;
 //! 3. the pushdown driver's early exit is guarded by the §4.2 score bound
@@ -18,10 +18,7 @@
 //! between Pick and top-k (the pushdown path polls at least as often —
 //! on entry, per document, and before the final sort).
 
-use tix_exec::composite::{comp1, comp2};
-use tix_exec::meet::generalized_meet;
 use tix_exec::parallel::{phrase_finder_parallel, pick_stream_parallel, term_join_parallel};
-use tix_exec::phrase::comp3;
 use tix_exec::pushdown;
 use tix_exec::scored::{sort_by_node, ScoredNode};
 use tix_exec::termjoin::{ChildCountMode, ComplexScorer, IdfScorer, SimpleScorer, TermJoinScorer};
@@ -65,9 +62,7 @@ pub fn execute(
         LogicalPlan::TermSearch(search) => {
             execute_term_search(store, index, search, plan, threads, cancelled)
         }
-        LogicalPlan::Phrase(phrase) => {
-            execute_phrase(store, index, phrase, plan, threads, cancelled)
-        }
+        LogicalPlan::Phrase(phrase) => execute_phrase(store, index, phrase, threads, cancelled),
     }
 }
 
@@ -156,16 +151,7 @@ fn run_term_search<S: TermJoinScorer>(
     if cancelled() {
         return None;
     }
-    let scored = match plan.access {
-        AccessMethod::Comp1 => sort_by_node(comp1(store, index, term_refs, scorer)),
-        AccessMethod::Comp2 => sort_by_node(comp2(store, index, term_refs, scorer)),
-        AccessMethod::GeneralizedMeet => {
-            sort_by_node(generalized_meet(store, index, term_refs, scorer))
-        }
-        // TermJoin, EnhancedTermJoin — and, defensively, the phrase
-        // methods, which cannot evaluate a term search.
-        _ => sort_by_node(term_join_parallel(store, index, term_refs, scorer, threads)),
-    };
+    let scored = sort_by_node(term_join_parallel(store, index, term_refs, scorer, threads));
     if cancelled() {
         return None;
     }
@@ -188,12 +174,11 @@ fn run_term_search<S: TermJoinScorer>(
     })
 }
 
-/// Execute a phrase search with the chosen plan.
+/// Execute a phrase search with its one plan, PhraseFinder.
 pub fn execute_phrase(
     store: &Store,
     index: &dyn IndexReader,
     phrase: &PhraseSearch,
-    plan: &PhysicalPlan,
     threads: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<PlanRun> {
@@ -211,10 +196,7 @@ pub fn execute_phrase(
             postings_total: total,
         });
     }
-    let matches = match plan.access {
-        AccessMethod::Comp3 => comp3(store, index, &term_refs),
-        _ => phrase_finder_parallel(store, index, &term_refs, threads),
-    };
+    let matches = phrase_finder_parallel(store, index, &term_refs, threads);
     if cancelled() {
         return None;
     }
@@ -331,26 +313,22 @@ mod tests {
             k: usize::MAX,
             min_score: None,
         });
-        let finder = execute(
-            &store,
-            &index,
-            &logical,
-            &crate::physical::PhysicalPlan::scan(AccessMethod::PhraseFinder),
-            1,
-            &|| false,
-        )
-        .unwrap();
-        let baseline = execute(
-            &store,
-            &index,
-            &logical,
-            &crate::physical::PhysicalPlan::scan(AccessMethod::Comp3),
-            1,
-            &|| false,
-        )
-        .unwrap();
-        assert_eq!(finder.results, baseline.results);
-        assert!(!finder.results.is_empty());
+        // The one phrase plan, at every thread count, ranks exactly what
+        // the sequential PhraseFinder finds.
+        let sequential = topk::top_k(
+            sort_by_node(tix_exec::phrase::phrase_finder(
+                &store,
+                &index,
+                &["search", "engine"],
+            )),
+            usize::MAX,
+        );
+        assert!(!sequential.is_empty());
+        let plan = crate::physical::PhysicalPlan::scan(AccessMethod::PhraseFinder);
+        for threads in [1, 2, 8] {
+            let run = execute(&store, &index, &logical, &plan, threads, &|| false).unwrap();
+            assert_eq!(run.results, sequential, "{threads} threads");
+        }
     }
 
     #[test]

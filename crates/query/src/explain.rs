@@ -3,7 +3,7 @@
 //!
 //! The output is plain text with one fact per line, stable across
 //! platforms (costs are saturating integers, fractional statistics are
-//! printed in their exact milli form) — golden snapshot tests assert on it
+//! printed with three fixed decimals) — golden snapshot tests assert on it
 //! verbatim.
 
 use std::fmt::Write as _;
@@ -97,7 +97,7 @@ pub fn render(
     if let Some(hist) = df_histogram {
         let _ = writeln!(
             out,
-            "  dictionary df: terms={} min={} p25={} p50={} p75={} max={}",
+            "  dictionary df: terms={} min={} p25={:.3} p50={:.3} p75={:.3} max={}",
             hist.count(),
             hist.min(),
             hist.quantile(0.25),

@@ -20,12 +20,15 @@
 //! | TermJoin | `F·t + 2A` | one merge pass over `F` postings with a `t`-wide counter stack, then sort + Pick over `A` outputs |
 //! | Enhanced TermJoin | TermJoin `+ 2A` | one child-count index probe (≈ two node visits) per scored node |
 //! | TermJoin (complex, navigate) | TermJoin `+ A + A·c̄` | child counting by navigation visits each scored node's children |
-//! | Comp1 | `4·x + x·log₂x + 2A`, `x = F·(d̄+1)` | materialize every (occurrence, ancestor) record, sort it, group, union |
-//! | Comp2 | `t·E + F + 2A` | per term, a structural join scans the full element list |
-//! | Generalized Meet | `3·x + 2A` | ancestor expansion into a hash of groups (no sort) |
 //! | PhraseFinder | `F·t + F` | posting merge with in-intersection adjacency checks |
-//! | Comp3 | `F·t + 3F` | intersect, materialize, then re-verify offsets |
 //! | +pushdown | `base·frac + k·log₂k + 32` | scans `frac ≈ (k+1)/docs(∪terms)` of the postings before the §4.2 bound closes; `+32` per-document bound checks |
+//!
+//! The candidates are the access methods the server runs: TermJoin (with
+//! Enhanced TermJoin first under complex scoring) for a term search, each
+//! with a `+pushdown` row when `k` is bounded, and PhraseFinder alone for
+//! a phrase. The paper's Sec. 6 baselines (Comp1, Comp2, Generalized
+//! Meet, Comp3) stay in `tix-exec` as referee code for the differential
+//! suites and the table reproductions; the planner never offers them.
 //!
 //! The pushdown fraction is a deliberately *optimistic* estimate of the
 //! WAND-style early exit (it assumes the top-k documents arrive early in
@@ -38,36 +41,24 @@
 use crate::logical::{LogicalPlan, Scoring, TermSearch};
 use crate::stats::PlanInputs;
 
-/// Physical access methods (Sec. 5 and the Sec. 6 baselines).
+/// Physical access methods (Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessMethod {
     /// Stack-based posting merge (Fig. 11), child counts by navigation.
     TermJoin,
     /// TermJoin with the store's child-count index (complex scoring).
     EnhancedTermJoin,
-    /// Standard-operator composition: expand → sort → group → union.
-    Comp1,
-    /// Structural joins of the full element list against each term.
-    Comp2,
-    /// Generalized Meet (hash-grouped ancestor expansion).
-    GeneralizedMeet,
     /// In-intersection phrase adjacency verification.
     PhraseFinder,
-    /// Intersect-then-filter phrase baseline.
-    Comp3,
 }
 
 impl AccessMethod {
-    /// Stable label used by EXPLAIN and the plan-override CLI/API.
+    /// Stable label used by EXPLAIN.
     pub fn label(self) -> &'static str {
         match self {
             AccessMethod::TermJoin => "term-join",
             AccessMethod::EnhancedTermJoin => "enhanced-term-join",
-            AccessMethod::Comp1 => "comp1",
-            AccessMethod::Comp2 => "comp2",
-            AccessMethod::GeneralizedMeet => "generalized-meet",
             AccessMethod::PhraseFinder => "phrase-finder",
-            AccessMethod::Comp3 => "comp3",
         }
     }
 }
@@ -150,13 +141,8 @@ struct CostContext {
     t: u64,
     /// Total postings across the query terms.
     f: u64,
-    /// Elements in the corpus.
-    e: u64,
     /// Distinct-ancestor bound `A = min(E, F·d̄ + t)`.
     a: u64,
-    /// Materialized (occurrence, ancestor-or-self) records
-    /// `x = F·(d̄+1)`.
-    x: u64,
     /// Average element fan-out, milli.
     c_milli: u64,
     /// `min(D, Σ df)` — documents that can contain any query term.
@@ -177,9 +163,7 @@ impl CostContext {
         CostContext {
             t,
             f,
-            e: inputs.corpus.elements,
             a,
-            x: mul_milli(f, d_milli.saturating_add(1000)),
             c_milli: inputs.corpus.avg_children_milli,
             docs_union: inputs.docs_union_bound(),
             block_max: inputs.block_max_available(),
@@ -199,26 +183,6 @@ impl CostContext {
                 .saturating_add(mul_milli(self.a, self.c_milli)),
             _ => merge,
         }
-    }
-
-    fn comp1(&self) -> u64 {
-        self.x
-            .saturating_mul(4)
-            .saturating_add(sort_cost(self.x))
-            .saturating_add(self.a.saturating_mul(2))
-    }
-
-    fn comp2(&self) -> u64 {
-        self.t
-            .saturating_mul(self.e)
-            .saturating_add(self.f)
-            .saturating_add(self.a.saturating_mul(2))
-    }
-
-    fn meet(&self) -> u64 {
-        self.x
-            .saturating_mul(3)
-            .saturating_add(self.a.saturating_mul(2))
     }
 
     /// The early-exit discount for pushing top-k into `base`.
@@ -243,49 +207,39 @@ impl CostContext {
 }
 
 /// Cost every applicable candidate for a term search, canonical order.
+/// A `+pushdown` row is listed only at a bounded `k`: at an unbounded `k`
+/// the early exit never fires, so the row could never win.
 fn term_search_candidates(search: &TermSearch, inputs: &PlanInputs) -> Vec<CostedPlan> {
     let ctx = CostContext::new(search.terms.len(), inputs);
-    let complex = matches!(search.scoring, Scoring::Complex);
     let mut out = Vec::new();
-    let mut push = |plan: PhysicalPlan, cost: u64| out.push(CostedPlan { plan, cost });
-
-    if complex {
-        let enhanced = ctx.term_join(&search.scoring, true);
-        push(PhysicalPlan::scan(AccessMethod::EnhancedTermJoin), enhanced);
-        push(
-            PhysicalPlan::pushed(AccessMethod::EnhancedTermJoin),
-            ctx.pushdown(enhanced, search.k),
-        );
+    let mut push = |access: AccessMethod| {
+        let enhanced = access == AccessMethod::EnhancedTermJoin;
+        let cost = ctx.term_join(&search.scoring, enhanced);
+        out.push(CostedPlan {
+            plan: PhysicalPlan::scan(access),
+            cost,
+        });
+        if search.k != usize::MAX {
+            out.push(CostedPlan {
+                plan: PhysicalPlan::pushed(access),
+                cost: ctx.pushdown(cost, search.k),
+            });
+        }
+    };
+    if matches!(search.scoring, Scoring::Complex) {
+        push(AccessMethod::EnhancedTermJoin);
     }
-    let term_join = ctx.term_join(&search.scoring, false);
-    push(PhysicalPlan::scan(AccessMethod::TermJoin), term_join);
-    push(
-        PhysicalPlan::pushed(AccessMethod::TermJoin),
-        ctx.pushdown(term_join, search.k),
-    );
-    push(
-        PhysicalPlan::scan(AccessMethod::GeneralizedMeet),
-        ctx.meet(),
-    );
-    push(PhysicalPlan::scan(AccessMethod::Comp1), ctx.comp1());
-    push(PhysicalPlan::scan(AccessMethod::Comp2), ctx.comp2());
+    push(AccessMethod::TermJoin);
     out
 }
 
-/// Cost every applicable candidate for a phrase search.
+/// Cost the one candidate for a phrase search: PhraseFinder.
 fn phrase_candidates(terms: usize, inputs: &PlanInputs) -> Vec<CostedPlan> {
     let ctx = CostContext::new(terms, inputs);
-    let merge = ctx.f.saturating_mul(ctx.t);
-    vec![
-        CostedPlan {
-            plan: PhysicalPlan::scan(AccessMethod::PhraseFinder),
-            cost: merge.saturating_add(ctx.f),
-        },
-        CostedPlan {
-            plan: PhysicalPlan::scan(AccessMethod::Comp3),
-            cost: merge.saturating_add(ctx.f.saturating_mul(3)),
-        },
-    ]
+    vec![CostedPlan {
+        plan: PhysicalPlan::scan(AccessMethod::PhraseFinder),
+        cost: ctx.f.saturating_mul(ctx.t).saturating_add(ctx.f),
+    }]
 }
 
 /// Every candidate plan for `logical`, costed, in canonical order.
@@ -364,7 +318,7 @@ mod tests {
             choice.chosen.plan,
             PhysicalPlan::scan(AccessMethod::TermJoin)
         );
-        assert_eq!(choice.candidates.len(), 5);
+        assert_eq!(choice.candidates.len(), 1);
     }
 
     #[test]
@@ -422,24 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_element_list_with_huge_postings_chooses_comp2() {
-        // E ≪ F: scanning the element list once per term beats a posting
-        // merge that touches every occurrence t times.
-        let inputs = PlanInputs {
-            corpus: CorpusStats {
-                avg_depth_milli: 9000,
-                ..corpus(10, 50, 9000)
-            },
-            terms: vec![term("a", 200_000, 10), term("b", 200_000, 10)],
-        };
-        let choice = choose(
-            &LogicalPlan::TermSearch(search(&["a", "b"], usize::MAX)),
-            &inputs,
-        );
-        assert_eq!(choice.chosen.plan, PhysicalPlan::scan(AccessMethod::Comp2));
-    }
-
-    #[test]
     fn complex_scoring_fans_out_between_navigate_and_index() {
         let mut inputs = PlanInputs {
             corpus: corpus(1000, 100_000, 3000),
@@ -472,17 +408,23 @@ mod tests {
             corpus: corpus(100_000, 10_000_000, 3000),
             terms: vec![term("rust", 400_000, 90_000)],
         };
-        let choice = choose(
-            &LogicalPlan::TermSearch(search(&["rust"], usize::MAX)),
-            &inputs,
-        );
-        assert!(!choice.chosen.plan.pushdown);
-        // The pushdown candidate is still listed (and still executable).
-        assert!(choice.candidates.iter().any(|c| c.plan.pushdown));
+        let mut complex = search(&["rust"], usize::MAX);
+        complex.scoring = Scoring::Complex;
+        for s in [search(&["rust"], usize::MAX), complex] {
+            let mut bounded = s.clone();
+            bounded.k = 10;
+            // At an unbounded k the early exit never fires, so no
+            // pushdown row is listed; a bounded k lists one per method.
+            let unbounded = choose(&LogicalPlan::TermSearch(s), &inputs);
+            assert!(!unbounded.chosen.plan.pushdown);
+            assert!(unbounded.candidates.iter().all(|c| !c.plan.pushdown));
+            let bounded = choose(&LogicalPlan::TermSearch(bounded), &inputs);
+            assert_eq!(bounded.candidates.len(), 2 * unbounded.candidates.len());
+        }
     }
 
     #[test]
-    fn phrase_chooses_phrase_finder_over_comp3() {
+    fn phrase_plans_with_phrase_finder_alone() {
         let inputs = PlanInputs {
             corpus: corpus(1000, 100_000, 3000),
             terms: vec![term("search", 500, 300), term("engine", 200, 150)],
@@ -497,7 +439,7 @@ mod tests {
             choice.chosen.plan,
             PhysicalPlan::scan(AccessMethod::PhraseFinder)
         );
-        assert_eq!(choice.candidates.len(), 2);
+        assert_eq!(choice.candidates.len(), 1);
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct CorpusStats {
     /// Deepest nesting level (root = 0).
     pub max_depth: u64,
     /// Average node depth in thousandths (`level_sum * 1000 /
-    /// total_nodes`): the ancestor-expansion factor the planner charges
-    /// materializing baselines (Comp1, Generalized Meet) for.
+    /// total_nodes`): the ancestor-expansion factor in the planner's
+    /// distinct-ancestor bound `A = min(E, F·d̄ + t)`.
     pub avg_depth_milli: u64,
     /// Average children per element in thousandths — the per-node
     /// navigation fan-out Enhanced TermJoin's child-count index avoids.

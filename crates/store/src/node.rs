@@ -87,7 +87,7 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 ///
 /// * `end` — preorder number of the node's last descendant (== own index
 ///   for leaves), giving the region encoding together with the index;
-/// * `parent` — parent's preorder number ([`NO_PARENT`] for the root);
+/// * `parent` — parent's preorder number (`NO_PARENT` for the root);
 /// * `level` — depth (root = 0), needed for parent-child structural joins;
 /// * `tag` — interned tag name (elements) — unused for text nodes;
 /// * `payload` — for elements the **child count** (element + text children),
