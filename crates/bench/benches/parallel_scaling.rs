@@ -1,26 +1,16 @@
-//! Criterion bench for the document-partitioned parallel access methods:
-//! TermJoin, PhraseFinder, and Pick at 1/2/4/8 worker threads, plus the
-//! parallel index build. The `scaling` binary produces the same axis with
-//! the paper's five-run methodology and writes `results/BENCH_scaling.json`.
+//! Criterion bench for the parallel index build at 1/2/4/8 worker
+//! threads. The `scaling` binary produces the same axis with the paper's
+//! five-run methodology and writes `results/BENCH_scaling.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tix_bench::{Fixture, Method};
-use tix_corpus::workloads;
-use tix_exec::termjoin::SimpleScorer;
+use tix_bench::Fixture;
 use tix_index::InvertedIndex;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_parallel_scaling(c: &mut Criterion) {
     let fixture = Fixture::small();
-    let scorer = SimpleScorer::new(vec![0.8, 0.6]);
-    let (a, b) = (workloads::pair_term(1000, 0), workloads::pair_term(1000, 1));
-    let terms = [a.as_str(), b.as_str()];
-    let (pa, pb) = workloads::table5_terms(0);
-    let phrase = [pa.as_str(), pb.as_str()];
-    let pick_input = fixture.pick_input(10_000);
-
     let mut group = c.benchmark_group("parallel_scaling");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(1));
@@ -31,34 +21,6 @@ fn bench_parallel_scaling(c: &mut Criterion) {
             &threads,
             |bench, &threads| {
                 bench.iter(|| black_box(InvertedIndex::build_with_threads(&fixture.store, threads)))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("term_join", threads),
-            &threads,
-            |bench, &threads| {
-                bench.iter(|| {
-                    black_box(fixture.run_method_parallel(
-                        Method::TermJoin,
-                        &terms,
-                        &scorer,
-                        threads,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("phrase_finder", threads),
-            &threads,
-            |bench, &threads| {
-                bench.iter(|| black_box(fixture.run_phrase_parallel(&phrase, threads)))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pick", threads),
-            &threads,
-            |bench, &threads| {
-                bench.iter(|| black_box(fixture.run_pick_parallel(&pick_input, threads)))
             },
         );
     }

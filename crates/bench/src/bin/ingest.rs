@@ -22,13 +22,13 @@
 //! ingest) as the result.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use tix_corpus::{CorpusSpec, Generator, PlantSpec};
 use tix_index::InvertedIndex;
 use tix_ingest::{CommitStats, DurabilityMode, Ingest, IngestOptions};
-use tix_parallel::parallel_map;
 use tix_server::metrics::LatencyHistogram;
 
 fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -303,15 +303,20 @@ fn durability_run(docs: &[(String, String)], mode: DurabilityMode, clients: usiz
         ingest.flush().expect("flush succeeds");
     } else {
         let db = RwLock::new(db);
-        let indices: Vec<usize> = (0..docs.len()).collect();
-        parallel_map(&indices, clients, |&i| {
-            let (name, xml) = &docs[i];
-            let staged = {
-                let mut db = db.write().expect("db lock");
-                ingest.stage_insert(&mut db, name, xml)
-            };
-            let (_, ticket) = staged.expect("stage succeeds");
-            ingest.commit(ticket).expect("commit succeeds");
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..clients {
+                scope.spawn(|| {
+                    while let Some((name, xml)) = docs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let staged = {
+                            let mut db = db.write().expect("db lock");
+                            ingest.stage_insert(&mut db, name, xml)
+                        };
+                        let (_, ticket) = staged.expect("stage succeeds");
+                        ingest.commit(ticket).expect("commit succeeds");
+                    }
+                });
+            }
         });
         ingest.flush().expect("flush succeeds");
     }

@@ -1,18 +1,11 @@
-//! Thread-scaling experiment: wall-clock speedup of the document-
-//! partitioned parallel access methods over 1/2/4/8 workers.
+//! Thread-scaling experiment: wall-clock speedup of the parallel index
+//! build (`InvertedIndex::build_with_threads`) over 1/2/4/8 workers.
 //!
-//! Measures, per thread count:
-//!
-//! * parallel index construction (`InvertedIndex::build_with_threads`);
-//! * TermJoin (simple scorer, the paper's 1,000×1,000 term pair);
-//! * PhraseFinder over a planted phrase;
-//! * Pick over a generated scored stream;
-//! * `Database::search_batch` over a mixed query batch.
-//!
-//! Every method produces identical output at every thread count (enforced
-//! here with result-count assertions and, exhaustively, by the equivalence
-//! tests in `tix-exec`); only wall-clock time varies. Results go to stdout
-//! as a markdown table and to `results/BENCH_scaling.json`.
+//! The build is byte-identical at every thread count (enforced here with a
+//! term-count assertion and, exhaustively, by `tix-index`'s
+//! `tests/parallel_build.rs`); only wall-clock time varies. Reads run on
+//! one thread, so they have no row here. Results go to stdout as a
+//! markdown table and to `results/BENCH_scaling.json`.
 //!
 //! Environment:
 //! * `TIX_ARTICLES` — corpus size (default 200, the small fixture shape);
@@ -22,11 +15,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use tix::Database;
-use tix_bench::{fmt_ms, paper_timing, Fixture, Method};
+use tix_bench::{fmt_ms, paper_timing, Fixture};
 use tix_corpus::CorpusSpec;
-use tix_exec::pick::PickParams;
-use tix_exec::termjoin::SimpleScorer;
 use tix_index::InvertedIndex;
 
 struct Row {
@@ -80,7 +70,7 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!("building fixture: {articles} articles, scale {scale} …");
-    let fixture = Fixture::build(spec.clone(), scale);
+    let fixture = Fixture::build(spec, scale);
     eprintln!(
         "corpus: {} docs, {} terms, {} tokens",
         fixture.store.doc_ids().count(),
@@ -88,87 +78,21 @@ fn main() {
         fixture.index.total_tokens()
     );
 
-    let scorer = SimpleScorer::new(vec![0.8, 0.6]);
-    let tj_terms = ["qt1000a", "qt1000b"];
-    let phrase_terms = ["ph0a", "ph0b"];
-    let pick_input = fixture.pick_input(20_000.min(fixture.store.doc_ids().count() * 100));
-    let pick = PickParams {
-        relevance_threshold: 1.0,
-        fraction: 0.5,
-    };
-    let batch: Vec<Vec<&str>> = vec![
-        vec!["qt1000a"],
-        vec!["qt1000a", "qt1000b"],
-        vec!["qt100a", "qt100b"],
-        vec!["ph0a", "ph0b"],
-        vec!["qt2000a"],
-        vec!["qt2000a", "qt2000b"],
-        vec!["qt500a", "qt500b"],
-        vec!["t3fix", "t4x0"],
-    ];
-
-    // `Database` owns its store, so regenerate the (deterministic) corpus
-    // into it rather than copying the fixture's.
-    let mut db = Database::new();
-    let generator = tix_corpus::Generator::new(spec, tix_corpus::workloads::paper_plants(scale))
-        .expect("valid paper plant spec");
-    generator.load_into(db.store_mut()).expect("corpus loads");
-    db.set_threads(1);
-    db.build_index();
-
-    let expected_tj = fixture.run_method(Method::TermJoin, &tj_terms, &scorer);
-    let expected_ph = fixture.run_phrase_parallel(&phrase_terms, 1);
-    let expected_pick = fixture.run_pick(&pick_input);
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut measure = |name: &'static str, mut run: Box<dyn FnMut(usize) + '_>| {
-        let timings = threads_axis
-            .iter()
-            .map(|&threads| {
-                let d = paper_timing(|| run(threads));
-                eprintln!("  {name} @ {threads}: {} ms", fmt_ms(d));
-                (threads, d)
-            })
-            .collect();
-        rows.push(Row { name, timings });
-    };
-
-    measure(
-        "index-build",
-        Box::new(|threads| {
-            let index = InvertedIndex::build_with_threads(&fixture.store, threads);
-            assert_eq!(index.term_count(), fixture.index.term_count());
-        }),
-    );
-    measure(
-        "term-join",
-        Box::new(|threads| {
-            let n = fixture.run_method_parallel(Method::TermJoin, &tj_terms, &scorer, threads);
-            assert_eq!(n, expected_tj);
-        }),
-    );
-    measure(
-        "phrase-finder",
-        Box::new(|threads| {
-            let n = fixture.run_phrase_parallel(&phrase_terms, threads);
-            assert_eq!(n, expected_ph);
-        }),
-    );
-    measure(
-        "pick",
-        Box::new(|threads| {
-            let n = fixture.run_pick_parallel(&pick_input, threads);
-            assert_eq!(n, expected_pick);
-        }),
-    );
-    measure(
-        "search-batch",
-        Box::new(|threads| {
-            db.set_threads(threads);
-            let results = db.search_batch(&batch, pick, 10);
-            assert_eq!(results.len(), batch.len());
-        }),
-    );
+    let timings = threads_axis
+        .iter()
+        .map(|&threads| {
+            let d = paper_timing(|| {
+                let index = InvertedIndex::build_with_threads(&fixture.store, threads);
+                assert_eq!(index.term_count(), fixture.index.term_count());
+            });
+            eprintln!("  index-build @ {threads}: {} ms", fmt_ms(d));
+            (threads, d)
+        })
+        .collect();
+    let rows = [Row {
+        name: "index-build",
+        timings,
+    }];
 
     print_and_save(&rows, &threads_axis, articles, scale);
 }

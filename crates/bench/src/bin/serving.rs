@@ -73,39 +73,41 @@ fn main() {
     let next = AtomicUsize::new(0);
     let outcomes = Outcomes::default();
     let latency = LatencyHistogram::default();
-    let client_ids: Vec<usize> = (0..clients).collect();
 
     let started = Instant::now();
-    // Clients run through the same document-partitioning primitive the
-    // engine uses — one closed loop per worker, drawing request numbers
-    // from the shared budget counter.
-    tix_parallel::parallel_map(&client_ids, clients, |_client| loop {
-        let seq = next.fetch_add(1, Ordering::Relaxed);
-        if seq >= budget {
-            break;
-        }
-        let target = request_target(seq);
-        let begin = Instant::now();
-        match roundtrip(&addr, &target) {
-            Ok(status) if (200..300).contains(&status) => {
-                latency.record(begin.elapsed());
-                outcomes.ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(503) => {
-                // Load shedding is a correct answer under saturation; count
-                // it separately and briefly back off, as a client honoring
-                // Retry-After would.
-                outcomes.shed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Ok(status) => {
-                eprintln!("FAIL: {target} answered {status}");
-                outcomes.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                eprintln!("FAIL: {target}: {e}");
-                outcomes.failed.fetch_add(1, Ordering::Relaxed);
-            }
+    // One closed loop per client, drawing request numbers from the shared
+    // budget counter.
+    std::thread::scope(|scope| {
+        for _ in 0..clients {
+            scope.spawn(|| loop {
+                let seq = next.fetch_add(1, Ordering::Relaxed);
+                if seq >= budget {
+                    break;
+                }
+                let target = request_target(seq);
+                let begin = Instant::now();
+                match roundtrip(&addr, &target) {
+                    Ok(status) if (200..300).contains(&status) => {
+                        latency.record(begin.elapsed());
+                        outcomes.ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(503) => {
+                        // Load shedding is a correct answer under saturation; count
+                        // it separately and briefly back off, as a client honoring
+                        // Retry-After would.
+                        outcomes.shed.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Ok(status) => {
+                        eprintln!("FAIL: {target} answered {status}");
+                        outcomes.failed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(e) => {
+                        eprintln!("FAIL: {target}: {e}");
+                        outcomes.failed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
         }
     });
     let elapsed = started.elapsed();

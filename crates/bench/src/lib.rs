@@ -117,41 +117,6 @@ impl Fixture {
     pub fn run_pick(&self, input: &[ScoredNode]) -> usize {
         pick_stream(&self.store, input, &PickParams::paper()).len()
     }
-
-    /// [`Fixture::run_method`] for the parallel TermJoin variant: the same
-    /// scored output, document-partitioned over `threads` workers. Only
-    /// meaningful for the TermJoin methods (the baselines have no parallel
-    /// implementation); panics on other methods.
-    pub fn run_method_parallel<S: TermJoinScorer>(
-        &self,
-        method: Method,
-        terms: &[&str],
-        scorer: &S,
-        threads: usize,
-    ) -> usize {
-        match method {
-            Method::TermJoin | Method::EnhancedTermJoin => tix_exec::parallel::term_join_parallel(
-                &self.store,
-                &self.index,
-                terms,
-                scorer,
-                threads,
-            )
-            .len(),
-            other => panic!("{} has no parallel variant", other.label()),
-        }
-    }
-
-    /// One PhraseFinder run over `threads` workers; returns the match count.
-    pub fn run_phrase_parallel(&self, terms: &[&str], threads: usize) -> usize {
-        tix_exec::parallel::phrase_finder_parallel(&self.store, &self.index, terms, threads).len()
-    }
-
-    /// One Pick run over `threads` workers; returns the picked count.
-    pub fn run_pick_parallel(&self, input: &[ScoredNode], threads: usize) -> usize {
-        tix_exec::parallel::pick_stream_parallel(&self.store, input, &PickParams::paper(), threads)
-            .len()
-    }
 }
 
 /// The score-generating methods compared in Tables 1–4.

@@ -4,10 +4,9 @@
 //! tix load   <snapshot> <file.xml>…      load XML files, write a snapshot
 //! tix gen    <snapshot> [articles] [seed] generate a synthetic corpus
 //! tix stats  <snapshot>                  corpus statistics
-//! tix search <snapshot> <term>… [-k N] [-t THRESHOLD] [--threads N]
+//! tix search <snapshot> <term>… [-k N] [-t THRESHOLD]
 //!                                        TermJoin → Pick → top-k search
-//! tix phrase <snapshot> <term> <term>… [--threads N]
-//!                                        exact-phrase lookup (PhraseFinder)
+//! tix phrase <snapshot> <term> <term>…   exact-phrase lookup (PhraseFinder)
 //! tix query  <snapshot> <file|->         run an extended-XQuery query
 //! tix explain <snapshot> <term>… [-k N] [-t THRESHOLD] [--min-score X]
 //!             [--query <file|->]         costed plan choice for a search
@@ -15,7 +14,7 @@
 //! tix ingest <dir> remove <name>         WAL-logged removal from a live directory
 //! tix checkpoint <dir>                   snapshot a live directory, truncate its WAL
 //! tix serve  <snapshot|--live dir> [--addr A] [--workers N] [--queue N]
-//!                       [--cache N] [--deadline-ms N] [--threads N]
+//!                       [--cache N] [--deadline-ms N]
 //!                                        serve queries over HTTP
 //! tix cluster init   <dir> [--shards N] [--replicas M] [--base-port P]
 //!                                        write a cluster.json topology
@@ -97,12 +96,11 @@ mod commands {
         terms: &[String],
         k: usize,
         threshold: f64,
-        threads: Option<usize>,
     ) -> Result<String, String> {
         if terms.is_empty() {
             return Err("search: at least one term required".into());
         }
-        let db = database(snapshot, threads)?;
+        let db = database(snapshot)?;
         let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
         let results = db.search(
             &term_refs,
@@ -127,15 +125,11 @@ mod commands {
     }
 
     /// PhraseFinder lookup.
-    pub fn phrase(
-        snapshot: &str,
-        terms: &[String],
-        threads: Option<usize>,
-    ) -> Result<String, String> {
+    pub fn phrase(snapshot: &str, terms: &[String]) -> Result<String, String> {
         if terms.len() < 2 {
             return Err("phrase: at least two terms required".into());
         }
-        let db = database(snapshot, threads)?;
+        let db = database(snapshot)?;
         let term_refs: Vec<&str> = terms.iter().map(String::as_str).collect();
         let matches = db.find_phrase(&term_refs);
         let mut out = format!("{} text nodes contain the phrase\n", matches.len());
@@ -162,7 +156,7 @@ mod commands {
         min_score: Option<f64>,
         query_source: Option<&str>,
     ) -> Result<String, String> {
-        let db = database(snapshot, None)?;
+        let db = database(snapshot)?;
         if let Some(source) = query_source {
             let text = if source == "-" {
                 let mut buf = String::new();
@@ -223,7 +217,7 @@ mod commands {
         let server = if live {
             tix_server::Server::start_live(path, config).map_err(|e| e.to_string())?
         } else {
-            let db = database(path, None)?;
+            let db = database(path)?;
             tix_server::Server::start(db, config).map_err(|e| e.to_string())?
         };
         // Print eagerly: `join` blocks for the lifetime of the server, and
@@ -557,16 +551,10 @@ mod commands {
     /// and caching the index on first use. A corrupt or truncated sidecar
     /// is *recovered from* — the index is rebuilt from the store and the
     /// sidecar rewritten (atomically) — never a fatal error: the sidecar
-    /// is a cache, and the store snapshot is the source of truth. `threads`
-    /// overrides the default worker count (`TIX_THREADS` / machine
-    /// parallelism) for the index build and all queries; results are
-    /// identical either way.
-    fn database(snapshot: &str, threads: Option<usize>) -> Result<Database, String> {
+    /// is a cache, and the store snapshot is the source of truth.
+    fn database(snapshot: &str) -> Result<Database, String> {
         let store = read_snapshot(snapshot)?;
         let mut db = Database::new();
-        if let Some(threads) = threads {
-            db.set_threads(threads);
-        }
         *db.store_mut() = store;
         let idx_path = format!("{snapshot}.idx");
         if let Err(err) = db.load_index_from(&idx_path) {
@@ -605,8 +593,8 @@ usage:
   tix load   <snapshot> <file.xml>…       load XML files, write a snapshot
   tix gen    <snapshot> [articles] [seed] generate a synthetic corpus
   tix stats  <snapshot>                   corpus statistics
-  tix search <snapshot> <term>… [-k N] [-t THRESHOLD] [--threads N]
-  tix phrase <snapshot> <term> <term>… [--threads N]
+  tix search <snapshot> <term>… [-k N] [-t THRESHOLD]
+  tix phrase <snapshot> <term> <term>…
   tix query  <snapshot> <file|->          run an extended-XQuery query
   tix explain <snapshot> <term>… [-k N] [-t THRESHOLD] [--min-score X]
               [--query <file|->]          show the costed plan choice
@@ -614,7 +602,7 @@ usage:
   tix ingest <dir> remove <name>          WAL-logged removal from a live dir
   tix checkpoint <dir>                    snapshot a live dir, truncate WAL
   tix serve  <snapshot|--live dir> [--addr HOST:PORT] [--workers N]
-             [--queue N] [--cache N] [--deadline-ms N] [--threads N]
+             [--queue N] [--cache N] [--deadline-ms N]
              [--durability strict|batched[:MS]|flush]
                                           serve queries over HTTP
   tix cluster init   <dir> [--shards N] [--replicas M] [--base-port P]
@@ -626,8 +614,6 @@ usage:
                                           or the whole cluster in-process
   tix cluster status <dir>                poll every node's /health
 
-Query commands run document-partitioned over worker threads (--threads,
-else TIX_THREADS, else all cores); results are identical at any count.
 The index sidecar (<snapshot>.idx) is written in the compressed v3 pack
 format (TIXPAK) and opened by reference — postings decode lazily, per
 term, on first use; v2 (TIXIDX) sidecars still load transparently.
@@ -686,7 +672,6 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             let mut terms = Vec::new();
             let mut k = 10usize;
             let mut threshold = 0.5f64;
-            let mut threads = None;
             let mut it = rest[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -698,35 +683,14 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                         let v = it.next().ok_or("-t needs a value")?;
                         threshold = v.parse().map_err(|_| format!("bad -t value {v:?}"))?;
                     }
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a value")?;
-                        threads = Some(
-                            v.parse()
-                                .map_err(|_| format!("bad --threads value {v:?}"))?,
-                        );
-                    }
                     term => terms.push(term.to_string()),
                 }
             }
-            commands::search(snapshot, &terms, k, threshold, threads)
+            commands::search(snapshot, &terms, k, threshold)
         }
         "phrase" => {
             let snapshot = rest.first().ok_or("phrase: snapshot path required")?;
-            let mut terms = Vec::new();
-            let mut threads = None;
-            let mut it = rest[1..].iter();
-            while let Some(arg) = it.next() {
-                if arg == "--threads" {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    threads = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad --threads value {v:?}"))?,
-                    );
-                } else {
-                    terms.push(arg.clone());
-                }
-            }
-            commands::phrase(snapshot, &terms, threads)
+            commands::phrase(snapshot, &rest[1..])
         }
         "query" => {
             let snapshot = rest.first().ok_or("query: snapshot path required")?;
@@ -930,12 +894,6 @@ fn parse_serve_args(rest: &[String]) -> Result<(String, bool, tix_server::Server
                     .parse()
                     .map_err(|_| format!("bad --deadline-ms value {v:?}"))?;
             }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                config.request_threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads value {v:?}"))?;
-            }
             "--debug-endpoints" => config.debug_endpoints = true,
             "--durability" => {
                 let v = value_of("--durability")?;
@@ -1080,48 +1038,6 @@ mod tests {
         fs::write(&bad_query, "For broken $").unwrap();
         let err = dispatch(&["explain".into(), snap, "--query".into(), bad_query]).unwrap_err();
         assert!(err.contains("cannot explain query"), "{err}");
-    }
-
-    #[test]
-    fn threads_flag_does_not_change_results() {
-        let xml_path = tmp("threaded.xml");
-        fs::write(
-            &xml_path,
-            "<article><sec><p>parallel rust engine</p></sec><sec><p>rust again</p></sec></article>",
-        )
-        .unwrap();
-        let snap = tmp("threaded.snap");
-        dispatch(&["load".into(), snap.clone(), xml_path]).unwrap();
-        let base = dispatch(&["search".into(), snap.clone(), "rust".into()]).unwrap();
-        for threads in ["1", "2", "8"] {
-            let out = dispatch(&[
-                "search".into(),
-                snap.clone(),
-                "rust".into(),
-                "--threads".into(),
-                threads.into(),
-            ])
-            .unwrap();
-            assert_eq!(out, base, "--threads {threads}");
-        }
-        let phrase_base = dispatch(&[
-            "phrase".into(),
-            snap.clone(),
-            "parallel".into(),
-            "rust".into(),
-        ])
-        .unwrap();
-        let phrase_par = dispatch(&[
-            "phrase".into(),
-            snap,
-            "parallel".into(),
-            "rust".into(),
-            "--threads".into(),
-            "4".into(),
-        ])
-        .unwrap();
-        assert_eq!(phrase_par, phrase_base);
-        assert!(dispatch(&["search".into(), "x".into(), "--threads".into()]).is_err());
     }
 
     #[test]
@@ -1380,8 +1296,6 @@ mod tests {
             "100",
             "--deadline-ms",
             "250",
-            "--threads",
-            "2",
             "--debug-endpoints",
         ]
         .iter()
@@ -1395,7 +1309,6 @@ mod tests {
         assert_eq!(config.queue_capacity, 32);
         assert_eq!(config.cache_capacity, 100);
         assert_eq!(config.default_deadline_ms, 250);
-        assert_eq!(config.request_threads, 2);
         assert!(config.debug_endpoints);
     }
 

@@ -52,17 +52,7 @@ impl LocalCluster {
         shards: usize,
         replicas_per_shard: usize,
     ) -> io::Result<LocalCluster> {
-        LocalCluster::start_with(dir, shards, replicas_per_shard, node_config())
-    }
-
-    /// [`LocalCluster::start`] with explicit per-node server tuning
-    /// (the differential suite varies `request_threads` through this).
-    pub fn start_with(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        replicas_per_shard: usize,
-        node_config: ServerConfig,
-    ) -> io::Result<LocalCluster> {
+        let node_config = node_config();
         let dir = dir.as_ref();
         let shards = shards.max(1);
         let mut groups = Vec::with_capacity(shards);

@@ -4,8 +4,7 @@
 //! `min_score`) and `/phrase` responses
 //! must be **byte-identical** — score bits included — to the canonical
 //! body computed from a single-node database holding the union corpus,
-//! for every shard count in {1, 2, 4} × per-node thread count in
-//! {1, 2, 8}.
+//! for every shard count in {1, 2, 4}.
 //!
 //! This exercises the whole pipeline: deterministic routing, per-shard
 //! WAL + checkpoint ingest, top-k-with-ties + §4.2 bounds on the shard
@@ -18,7 +17,6 @@ use proptest::prelude::*;
 use tix::exec::pick::PickParams;
 use tix::Database;
 use tix_cluster::{local::scratch_dir, merge, LocalCluster};
-use tix_server::ServerConfig;
 
 // Names chosen to spread over shards: under the CRC-32 router these
 // cover both shards at 2 shards and all four at 4.
@@ -56,19 +54,12 @@ fn server_pick() -> PickParams {
     }
 }
 
-/// Drive the ops through a coordinator over `shards` shards with
-/// `threads`-way per-node query parallelism, mirroring acknowledged
-/// mutations into `model`; then compare every probe query bytewise
-/// against the single-node expectation.
-fn run_case(ops: &[Op], shards: usize, threads: usize) {
-    let dir = scratch_dir(&format!("diff-{shards}-{threads}"));
-    let config = ServerConfig {
-        workers: 2,
-        queue_capacity: 32,
-        request_threads: threads,
-        ..ServerConfig::default()
-    };
-    let cluster = LocalCluster::start_with(&dir, shards, 0, config).unwrap();
+/// Drive the ops through a coordinator over `shards` shards, mirroring
+/// acknowledged mutations into `model`; then compare every probe query
+/// bytewise against the single-node expectation.
+fn run_case(ops: &[Op], shards: usize) {
+    let dir = scratch_dir(&format!("diff-{shards}"));
+    let cluster = LocalCluster::start(&dir, shards, 0).unwrap();
     let mut model: BTreeMap<&str, &str> = BTreeMap::new();
 
     for &(kind, name_i, doc_i) in ops {
@@ -118,7 +109,7 @@ fn run_case(ops: &[Op], shards: usize, threads: usize) {
         assert_eq!(status, 200, "{body}");
         assert_eq!(
             body, expected,
-            "shards={shards} threads={threads} q={terms:?} k={k}: coordinator body diverged from single-node"
+            "shards={shards} q={terms:?} k={k}: coordinator body diverged from single-node"
         );
     }
     for (terms, k, min_score) in FILTERED {
@@ -138,7 +129,7 @@ fn run_case(ops: &[Op], shards: usize, threads: usize) {
         assert_eq!(status, 200, "{body}");
         assert_eq!(
             body, expected,
-            "shards={shards} threads={threads} q={terms:?} k={k} min_score={min_score}: coordinator body diverged from single-node"
+            "shards={shards} q={terms:?} k={k} min_score={min_score}: coordinator body diverged from single-node"
         );
     }
     for phrase in PHRASES {
@@ -152,7 +143,7 @@ fn run_case(ops: &[Op], shards: usize, threads: usize) {
         assert_eq!(status, 200, "{body}");
         assert_eq!(
             body, expected,
-            "shards={shards} threads={threads} phrase={phrase:?}: coordinator body diverged from single-node"
+            "shards={shards} phrase={phrase:?}: coordinator body diverged from single-node"
         );
     }
 
@@ -168,9 +159,7 @@ proptest! {
         ops in prop::collection::vec((0u8..10, 0u8..6, 0u8..5), 1..12)
     ) {
         for shards in [1usize, 2, 4] {
-            for threads in [1usize, 2, 8] {
-                run_case(&ops, shards, threads);
-            }
+            run_case(&ops, shards);
         }
     }
 }

@@ -52,12 +52,6 @@
 //!   soon as the §4.2 score bound proves the unscanned tail cannot change
 //!   the top-k result; byte-identical to the full pipeline.
 //!
-//! ## Parallel execution
-//!
-//! * [`parallel`] — document-partitioned parallel variants of TermJoin,
-//!   PhraseFinder, and Pick. Outputs are bit-identical to the sequential
-//!   methods at every thread count (see that module's docs for why).
-//!
 //! ## Testing discipline
 //!
 //! The score-generating and score-utilizing access methods — TermJoin
@@ -67,15 +61,12 @@
 //! PhraseFinder against `Comp3`, and Pick against the algebra-level
 //! reference in `tix_core::ops::pick`, on both fixed corpora and
 //! property-generated random collections (`tests/proptest_diff.rs`,
-//! `tests/proptest_corpus_diff.rs`). The parallel variants are additionally
-//! required to match the sequential ones exactly
-//! (`tests/parallel_equivalence.rs`). The score-modifying methods
+//! `tests/proptest_corpus_diff.rs`). The score-modifying methods
 //! ([`modify`]) are covered by example-level tests only.
 
 pub mod composite;
 pub mod meet;
 pub mod modify;
-pub mod parallel;
 pub mod phrase;
 pub mod pick;
 pub mod pushdown;

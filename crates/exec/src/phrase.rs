@@ -30,15 +30,6 @@ pub fn phrase_finder(
     assert!(k >= 2, "a phrase has at least two terms");
     let lists: Vec<&[tix_index::Posting]> =
         phrase_terms.iter().map(|t| index.postings(t)).collect();
-    phrase_finder_on_lists(&lists)
-}
-
-/// The PhraseFinder core over posting-list slices (one per phrase term, in
-/// phrase order). [`phrase_finder`] is this over the full index lists; the
-/// document-partitioned parallel driver calls it per document chunk.
-pub fn phrase_finder_on_lists(lists: &[&[tix_index::Posting]]) -> Vec<PhraseMatch> {
-    let k = lists.len();
-    assert!(k >= 2, "a phrase has at least two terms");
     if lists.iter().any(|l| l.is_empty()) {
         return Vec::new();
     }

@@ -18,9 +18,7 @@
 //!
 //! Every stage is document-local: TermJoin's ancestor stack drains at
 //! document boundaries, and Pick's containment hierarchy never spans
-//! documents (the same facts that make [`crate::parallel`]'s
-//! document-partitioned execution *exactly* equal to sequential
-//! execution). So the concatenation of per-document pipeline outputs *is*
+//! documents. So the concatenation of per-document pipeline outputs *is*
 //! the sequential pipeline's stream, element for element, bit for bit.
 //! The accumulator's total order (score, then arrival) makes offering an
 //! element that scores strictly below the k-th retained score a no-op —
@@ -323,7 +321,6 @@ pub fn search_topk_on_lists_with_blocks<S: TermJoinScorer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{pick_stream_parallel, term_join_parallel};
     use crate::termjoin::{ChildCountMode, ComplexScorer, IdfScorer, SimpleScorer};
     use crate::topk;
     use tix_index::InvertedIndex;
@@ -356,9 +353,9 @@ mod tests {
         k: usize,
         min: Option<f64>,
     ) -> Vec<ScoredNode> {
-        let joined = sort_by_node(term_join_parallel(store, index, terms, scorer, 1));
+        let joined = sort_by_node(TermJoin::new(store, index, terms, scorer).run());
         let picked = match pick {
-            Some(p) => pick_stream_parallel(store, &joined, p, 1),
+            Some(p) => pick_stream(store, &joined, p),
             None => joined,
         };
         let filtered = match min {

@@ -288,22 +288,13 @@ impl<'a, S: TermJoinScorer> TermJoin<'a, S> {
         scorer: &'a S,
     ) -> Self {
         let lists: Vec<&[Posting]> = terms.iter().map(|t| index.postings(t)).collect();
-        TermJoin {
-            store,
-            scorer,
-            cursors: vec![0; lists.len()],
-            lists,
-            stack: Vec::new(),
-            pending: VecDeque::new(),
-            keep_detail: scorer.needs_detail(),
-            exhausted: false,
-        }
+        TermJoin::with_lists(store, lists, scorer)
     }
 
     /// Set up a TermJoin directly over posting-list slices (in the same
-    /// order as the query terms). This is how the document-partitioned
-    /// parallel driver hands each worker its slice of the document axis;
-    /// `new` is equivalent to `with_lists` over the full lists.
+    /// order as the query terms). This is how the pushdown driver hands
+    /// TermJoin one document's postings at a time; `new` is `with_lists`
+    /// over the full lists.
     pub fn with_lists(store: &'a Store, lists: Vec<&'a [Posting]>, scorer: &'a S) -> Self {
         TermJoin {
             store,

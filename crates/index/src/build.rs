@@ -61,7 +61,7 @@ impl InvertedIndex {
     /// calling thread.
     pub fn build_with_threads(store: &Store, threads: usize) -> Self {
         let doc_ids: Vec<DocId> = store.doc_ids().collect();
-        let extracted = tix_parallel::parallel_map(&doc_ids, threads, |&doc_id| {
+        let extracted = crate::parallel::parallel_map(&doc_ids, threads, |&doc_id| {
             extract_document(store, doc_id)
         });
         let mut index = InvertedIndex {

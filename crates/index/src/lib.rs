@@ -31,6 +31,7 @@
 //! ```
 
 mod build;
+mod parallel;
 mod postings;
 mod reader;
 mod snapshot;

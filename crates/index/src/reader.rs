@@ -55,10 +55,7 @@ pub struct TermSummary {
 /// Read-only access to a positional inverted index, independent of the
 /// physical representation (in-memory v2 vectors or the compressed
 /// load-by-reference v3 `TIXPAK` format).
-///
-/// `Sync` is a supertrait because the parallel access methods share one
-/// `&dyn IndexReader` across scoped worker threads.
-pub trait IndexReader: Sync {
+pub trait IndexReader {
     /// The term's postings in `(doc, node, offset)` order; empty when the
     /// term is absent. Representations may decode lazily behind this call,
     /// but the returned slice is stable for the reader's lifetime.

@@ -1,9 +1,8 @@
 //! Differential property test for incremental index maintenance: after
 //! ANY randomized interleaving of inserts, deletes, and checkpoints, the
 //! maintained index must serialize byte-identically to a from-scratch
-//! `InvertedIndex::build` over the same store — at worker-thread counts
-//! 1, 2, and 8 — and a reopen (crash + replay) must land on the same
-//! bytes again.
+//! `InvertedIndex::build` over the same store, and a reopen (crash +
+//! replay) must land on the same bytes again.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,14 +67,12 @@ fn store_fingerprint(db: &Database) -> Vec<(String, usize)> {
         .collect()
 }
 
-/// Run the op sequence through a live ingestion directory at the given
-/// worker-thread count, asserting maintained == rebuilt after every step.
-/// Returns (store fingerprint, final index bytes) for cross-thread and
-/// cross-reopen comparison.
-fn run_workload(ops: &[Op], threads: usize) -> (Vec<(String, usize)>, Vec<u8>) {
+/// Run the op sequence through a live ingestion directory, asserting
+/// maintained == rebuilt after every step and that a reopen reproduces
+/// the final store and index bytes.
+fn run_workload(ops: &[Op]) {
     let dir = fresh_dir();
     let (ingest, mut db) = Ingest::open(&dir, IngestOptions::default()).unwrap();
-    db.set_threads(threads);
     for (step, &(kind, name_i, doc_i)) in ops.iter().enumerate() {
         let name = NAMES[name_i as usize % NAMES.len()];
         match kind % 10 {
@@ -95,7 +92,7 @@ fn run_workload(ops: &[Op], threads: usize) -> (Vec<(String, usize)>, Vec<u8>) {
         assert_eq!(
             db_index_bytes(&db),
             rebuilt_bytes(&db),
-            "threads={threads} step={step}: maintained index diverged from rebuild"
+            "step={step}: maintained index diverged from rebuild"
         );
     }
     let fingerprint = store_fingerprint(&db);
@@ -105,30 +102,17 @@ fn run_workload(ops: &[Op], threads: usize) -> (Vec<(String, usize)>, Vec<u8>) {
     // Crash + recover: replaying the surviving WAL over the last
     // checkpoint must reproduce the exact same index bytes.
     let (_, reopened) = Ingest::open(&dir, IngestOptions::default()).unwrap();
-    assert_eq!(
-        store_fingerprint(&reopened),
-        fingerprint,
-        "threads={threads}: reopen store"
-    );
-    assert_eq!(
-        db_index_bytes(&reopened),
-        final_index,
-        "threads={threads}: reopen index bytes"
-    );
-    (fingerprint, final_index)
+    assert_eq!(store_fingerprint(&reopened), fingerprint, "reopen store");
+    assert_eq!(db_index_bytes(&reopened), final_index, "reopen index bytes");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn maintained_index_matches_rebuild_at_any_thread_count(
+    fn maintained_index_matches_rebuild(
         ops in prop::collection::vec((0u8..10, 0u8..4, 0u8..4), 1..14)
     ) {
-        let baseline = run_workload(&ops, 1);
-        for threads in [2usize, 8] {
-            let got = run_workload(&ops, threads);
-            prop_assert_eq!(&got, &baseline, "threads={} differs from single-thread", threads);
-        }
+        run_workload(&ops);
     }
 }

@@ -734,47 +734,6 @@ pub fn assert_snapshot_sealed(magic: &[u8], bytes: &[u8]) {
     }
 }
 
-/// Chunk-partition correctness (the parallel layer's contract): ranges
-/// must tile `0..len` contiguously, in order, with no empty range (unless
-/// `len == 0`, when there must be no ranges at all).
-pub fn try_partition(len: usize, ranges: &[std::ops::Range<usize>]) -> Result<(), InvariantError> {
-    const NAME: &str = "chunk-partition";
-    if len == 0 {
-        return if ranges.is_empty() {
-            Ok(())
-        } else {
-            violation(
-                NAME,
-                format!("{} ranges cover an empty domain", ranges.len()),
-            )
-        };
-    }
-    let mut expected = 0usize;
-    for (i, r) in ranges.iter().enumerate() {
-        if r.start != expected {
-            return violation(
-                NAME,
-                format!("range {i} starts at {} (want {expected})", r.start),
-            );
-        }
-        if r.end <= r.start {
-            return violation(NAME, format!("range {i} ({r:?}) is empty or reversed"));
-        }
-        expected = r.end;
-    }
-    if expected != len {
-        return violation(NAME, format!("ranges cover 0..{expected}, want 0..{len}"));
-    }
-    Ok(())
-}
-
-/// Panicking form of [`try_partition`]; wrap calls in [`check!`].
-pub fn assert_partition(len: usize, ranges: &[std::ops::Range<usize>]) {
-    if let Err(e) = try_partition(len, ranges) {
-        panic!("{e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,16 +964,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn partitions() {
-        assert!(try_partition(10, &[0..4, 4..7, 7..10]).is_ok());
-        assert!(try_partition(0, &[]).is_ok());
-        assert!(try_partition(10, &[0..4, 5..10]).is_err()); // gap
-        assert!(try_partition(10, &[0..4, 4..4, 4..10]).is_err()); // empty
-        assert!(try_partition(10, &[0..4, 4..9]).is_err()); // short
-        assert!(try_partition(0, std::slice::from_ref(&(0..0))).is_err());
     }
 
     #[test]

@@ -10,31 +10,31 @@
 /// included: a panic in a worker kills a request, never the process, but
 /// it still must answer 500 — so the handler code itself stays panic-free.
 pub const PANIC_FREE_CRATES: &[&str] = &[
-    "core", "exec", "index", "store", "xml", "query", "parallel", "cli", "server", "ingest",
-    "cluster", "pack", "tix",
+    "core", "exec", "index", "store", "xml", "query", "cli", "server", "ingest", "cluster", "pack",
+    "tix",
 ];
 
 /// Crates whose library code is checked for unchecked slice indexing.
 pub const INDEX_CHECKED_CRATES: &[&str] = &[
-    "core", "exec", "index", "store", "xml", "query", "parallel", "ingest", "pack", "tix",
+    "core", "exec", "index", "store", "xml", "query", "ingest", "pack", "tix",
 ];
 
 /// Crates checked for direct float equality on scores.
 pub const FLOAT_EQ_CRATES: &[&str] = &[
-    "core", "exec", "index", "store", "xml", "query", "parallel", "ingest", "pack",
+    "core", "exec", "index", "store", "xml", "query", "ingest", "pack",
 ];
 
 /// Crates whose public items require doc comments.
 pub const DOC_CRATES: &[&str] = &["core", "exec"];
 
-/// Crates allowed to spawn threads: `parallel` (the document-partitioned
-/// access methods) and `server` (the front door's accept loop and worker
-/// pool, and a node's replication and flusher loops, are long-lived
-/// service threads, not data-parallel workers — routing them through
-/// `parallel_map` would serialize the pool behind one call). `cluster`
-/// spawns nothing: the coordinator serves on the server's front door and
-/// scatters from the worker thread that took the request.
-pub const SPAWN_EXEMPT_CRATES: &[&str] = &["parallel", "server"];
+/// Crates allowed to spawn detached threads: `server` (the front door's
+/// accept loop and worker pool, and a node's replication and flusher
+/// loops, are long-lived service threads). Short-lived fan-out elsewhere,
+/// such as `tix-index`'s parallel build, uses `std::thread::scope`, whose
+/// `scope.spawn` this rule does not match. `cluster` spawns nothing: the
+/// coordinator serves on the server's front door and scatters from the
+/// worker thread that took the request.
+pub const SPAWN_EXEMPT_CRATES: &[&str] = &["server"];
 
 /// Crates whose request-path collections must be bounded
 /// (`no-unbounded-channel`): a queue that grows with client demand is a

@@ -50,10 +50,7 @@ const RULES: &[(&str, &str)] = &[
         "safety-comment",
         "every unsafe block carries a // SAFETY: justification",
     ),
-    (
-        "no-thread-spawn",
-        "thread::spawn only inside tix-parallel and tix-server",
-    ),
+    ("no-thread-spawn", "thread::spawn only inside tix-server"),
     (
         "no-unbounded-channel",
         "request queues in serving code must carry a capacity check",

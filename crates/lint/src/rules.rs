@@ -246,7 +246,7 @@ fn safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// `no-thread-spawn`: `thread::spawn` only inside `tix-parallel`.
+/// `no-thread-spawn`: `thread::spawn` only inside `tix-server`.
 fn no_thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if config::SPAWN_EXEMPT_CRATES.contains(&ctx.krate) {
         return;
@@ -262,8 +262,8 @@ fn no_thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ctx,
                 "no-thread-spawn",
                 toks[i].line,
-                "thread spawning outside tix-parallel".to_string(),
-                "use `tix_parallel::parallel_map` so the document-partitioned equivalence guarantees apply",
+                "thread spawning outside tix-server".to_string(),
+                "use `std::thread::scope`, which joins every worker before it returns, as `tix-index`'s parallel build does",
             );
         }
     }
@@ -811,8 +811,13 @@ mod tests {
         );
         assert_eq!(rules_of(&f), ["no-thread-spawn"]);
         assert!(findings_in(
-            "crates/parallel/src/x.rs",
+            "crates/server/src/x.rs",
             "fn f() { std::thread::spawn(|| {}); }"
+        )
+        .is_empty());
+        assert!(findings_in(
+            "crates/index/src/x.rs",
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }"
         )
         .is_empty());
     }

@@ -3,8 +3,8 @@
 //! interleavings, a pack round-trip of the maintained index must answer
 //! every query **byte-identically** (score bits included) to the
 //! in-memory index — through the block-max pushdown driver and the
-//! document-partitioned parallel pipeline at worker-thread counts 1, 2,
-//! and 8 — and damaged pack bytes must always be rejected with a typed
+//! full TermJoin pipeline, over indexes built at worker-thread counts 1,
+//! 2 and 8 — and damaged pack bytes must always be rejected with a typed
 //! error (never `Ok`, never a panic).
 
 use std::fs;
@@ -17,8 +17,8 @@ use tix::index::{IndexReader, InvertedIndex};
 use tix::Database;
 use tix_exec::pick::PickParams;
 use tix_exec::scored::sort_by_node;
-use tix_exec::termjoin::IdfScorer;
-use tix_exec::{parallel, pushdown, ScoredNode, SimpleScorer};
+use tix_exec::termjoin::{IdfScorer, TermJoin};
+use tix_exec::{pushdown, ScoredNode, SimpleScorer};
 use tix_index::IndexSnapshotError;
 use tix_pack::{convert_v2_to_v3, pack_bytes, PackIndex};
 use tix_store::faultio::FailingWriter;
@@ -83,12 +83,12 @@ fn assert_bit_identical(
 }
 
 /// Run every query through both representations — pushdown driver (the
-/// block-max path on the pack side) and the parallel full pipeline at
-/// `threads` workers — and demand bit-identical answers. `mem` runs over
+/// block-max path on the pack side) and the full TermJoin pipeline — and
+/// demand bit-identical answers. `mem` runs over
 /// `store` as maintained (tombstones included); the pack, written in
 /// dense ids, runs over the dense store a fresh load of the survivors
 /// gives.
-fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex, threads: usize) {
+fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex) {
     let dense = store.freeze().thaw();
     let pick = PickParams::paper();
     for (qi, terms) in QUERIES.iter().enumerate() {
@@ -112,18 +112,10 @@ fn assert_answers_identical(store: &Store, mem: &InvertedIndex, pack: &PackIndex
                 "q{qi}: representations disagree on list sizes"
             );
         }
-        // The full parallel pipeline (no early exit) at this thread count.
-        let full_a = sort_by_node(parallel::term_join_parallel(
-            store, mem, terms, &simple, threads,
-        ));
-        let full_b = sort_by_node(parallel::term_join_parallel(
-            &dense, pack, terms, &simple, threads,
-        ));
-        assert_bit_identical(
-            (store, &full_a),
-            (&dense, &full_b),
-            &format!("q{qi} parallel t={threads}"),
-        );
+        // The full pipeline (no early exit).
+        let full_a = sort_by_node(TermJoin::new(store, mem, terms, &simple).run());
+        let full_b = sort_by_node(TermJoin::new(&dense, pack, terms, &simple).run());
+        assert_bit_identical((store, &full_a), (&dense, &full_b), &format!("q{qi} full"));
         // Idf scoring exercises the trait's idf() on both sides.
         let idf_a = IdfScorer::new(mem, store.doc_count(), terms);
         let idf_b = IdfScorer::new(pack, store.doc_count(), terms);
@@ -145,9 +137,10 @@ proptest! {
 
     /// Randomized insert / remove / checkpoint interleavings: after every
     /// checkpoint (pack round-trip) the pack must answer bit-identically
-    /// to the maintained in-memory index, at worker-thread counts 1, 2,
-    /// and 8; installing the pack by reference and mutating on top of it
-    /// (materialize-on-write) must keep the index equal to a rebuild.
+    /// to the maintained in-memory index, and so must a pack of a rebuild
+    /// at worker-thread counts 1, 2 and 8; installing the pack by
+    /// reference and mutating on top of it (materialize-on-write) must
+    /// keep the index equal to a rebuild.
     #[test]
     fn pack_roundtrip_answers_byte_identical(
         ops in proptest::collection::vec((0u8..10, 0u8..4, 0u8..4), 1..10),
@@ -155,7 +148,6 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_sel as usize % 3];
         let mut db = Database::new();
-        db.set_threads(threads);
         db.build_index();
         for (step, &(kind, name_i, doc_i)) in ops.iter().enumerate() {
             let name = NAMES[name_i as usize % NAMES.len()];
@@ -186,7 +178,7 @@ proptest! {
                     };
                     let bytes = pack_bytes(mem).unwrap();
                     let pack = PackIndex::from_bytes(bytes).unwrap();
-                    assert_answers_identical(db.store(), mem, &pack, threads);
+                    assert_answers_identical(db.store(), mem, &pack);
                     db.set_pack_index(pack);
                 }
             }
@@ -196,7 +188,7 @@ proptest! {
         // on, pack the rebuild and compare against it.
         let rebuilt = InvertedIndex::build_with_threads(db.store(), threads);
         let pack = PackIndex::from_bytes(pack_bytes(&rebuilt).unwrap()).unwrap();
-        assert_answers_identical(db.store(), &rebuilt, &pack, threads);
+        assert_answers_identical(db.store(), &rebuilt, &pack);
         // And the pack materializes back to the exact same index bytes.
         let mut a = Vec::new();
         rebuilt.save_snapshot(&mut a).unwrap();
@@ -227,7 +219,7 @@ proptest! {
         mem.save_snapshot(&mut v2).unwrap();
         let v3 = convert_v2_to_v3(&v2).unwrap();
         let pack = PackIndex::from_bytes(v3).unwrap();
-        assert_answers_identical(db.store(), mem, &pack, 2);
+        assert_answers_identical(db.store(), mem, &pack);
         let mut back = Vec::new();
         pack.to_inverted().unwrap().save_snapshot(&mut back).unwrap();
         prop_assert_eq!(v2, back, "v2 -> v3 -> v2 is not the identity");

@@ -18,10 +18,13 @@
 //! between Pick and top-k (the pushdown path polls at least as often —
 //! on entry, per document, and before the final sort).
 
-use tix_exec::parallel::{phrase_finder_parallel, pick_stream_parallel, term_join_parallel};
+use tix_exec::phrase::phrase_finder;
+use tix_exec::pick::pick_stream;
 use tix_exec::pushdown;
 use tix_exec::scored::{sort_by_node, ScoredNode};
-use tix_exec::termjoin::{ChildCountMode, ComplexScorer, IdfScorer, SimpleScorer, TermJoinScorer};
+use tix_exec::termjoin::{
+    ChildCountMode, ComplexScorer, IdfScorer, SimpleScorer, TermJoin, TermJoinScorer,
+};
 use tix_exec::topk;
 use tix_index::IndexReader;
 use tix_store::Store;
@@ -48,21 +51,26 @@ impl PlanRun {
     }
 }
 
-/// Execute `logical` with the chosen physical `plan`. Returns `None` iff
-/// `cancelled` reported `true` at one of the poll points.
+/// Execute `logical` with the chosen physical `plan` on the calling
+/// thread. Returns `None` iff `cancelled` reported `true` at one of the
+/// poll points.
+///
+/// `_threads` is ignored. It is kept only so the benchmark package's
+/// `execute(.., 1, ..)` call keeps compiling, until a change to the
+/// benchmark drops it.
 pub fn execute(
     store: &Store,
     index: &dyn IndexReader,
     logical: &LogicalPlan,
     plan: &PhysicalPlan,
-    threads: usize,
+    _threads: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<PlanRun> {
     match logical {
         LogicalPlan::TermSearch(search) => {
-            execute_term_search(store, index, search, plan, threads, cancelled)
+            execute_term_search(store, index, search, plan, cancelled)
         }
-        LogicalPlan::Phrase(phrase) => execute_phrase(store, index, phrase, threads, cancelled),
+        LogicalPlan::Phrase(phrase) => execute_phrase(store, index, phrase, cancelled),
     }
 }
 
@@ -72,7 +80,6 @@ pub fn execute_term_search(
     index: &dyn IndexReader,
     search: &TermSearch,
     plan: &PhysicalPlan,
-    threads: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<PlanRun> {
     let term_refs: Vec<&str> = search.terms.iter().map(String::as_str).collect();
@@ -87,27 +94,19 @@ pub fn execute_term_search(
     match &search.scoring {
         Scoring::SimpleUniform => {
             let scorer = SimpleScorer::uniform();
-            run_term_search(
-                store, index, search, plan, &term_refs, &scorer, threads, cancelled,
-            )
+            run_term_search(store, index, search, plan, &term_refs, &scorer, cancelled)
         }
         Scoring::SimpleWeighted(weights) => {
             let scorer = SimpleScorer::new(weights.clone());
-            run_term_search(
-                store, index, search, plan, &term_refs, &scorer, threads, cancelled,
-            )
+            run_term_search(store, index, search, plan, &term_refs, &scorer, cancelled)
         }
         Scoring::Complex => {
             let scorer = ComplexScorer::uniform(mode);
-            run_term_search(
-                store, index, search, plan, &term_refs, &scorer, threads, cancelled,
-            )
+            run_term_search(store, index, search, plan, &term_refs, &scorer, cancelled)
         }
         Scoring::Idf => {
             let scorer = IdfScorer::new(index, store.doc_count(), &term_refs);
-            run_term_search(
-                store, index, search, plan, &term_refs, &scorer, threads, cancelled,
-            )
+            run_term_search(store, index, search, plan, &term_refs, &scorer, cancelled)
         }
     }
 }
@@ -128,7 +127,6 @@ fn run_term_search<S: TermJoinScorer>(
     plan: &PhysicalPlan,
     term_refs: &[&str],
     scorer: &S,
-    threads: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<PlanRun> {
     if plan.pushdown {
@@ -151,12 +149,12 @@ fn run_term_search<S: TermJoinScorer>(
     if cancelled() {
         return None;
     }
-    let scored = sort_by_node(term_join_parallel(store, index, term_refs, scorer, threads));
+    let scored = sort_by_node(TermJoin::new(store, index, term_refs, scorer).run());
     if cancelled() {
         return None;
     }
     let picked = match &search.pick {
-        Some(p) => pick_stream_parallel(store, &scored, p, threads),
+        Some(p) => pick_stream(store, &scored, p),
         None => scored,
     };
     if cancelled() {
@@ -179,7 +177,6 @@ pub fn execute_phrase(
     store: &Store,
     index: &dyn IndexReader,
     phrase: &PhraseSearch,
-    threads: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<PlanRun> {
     if cancelled() {
@@ -196,7 +193,7 @@ pub fn execute_phrase(
             postings_total: total,
         });
     }
-    let matches = phrase_finder_parallel(store, index, &term_refs, threads);
+    let matches = phrase_finder(store, index, &term_refs);
     if cancelled() {
         return None;
     }
@@ -313,8 +310,7 @@ mod tests {
             k: usize::MAX,
             min_score: None,
         });
-        // The one phrase plan, at every thread count, ranks exactly what
-        // the sequential PhraseFinder finds.
+        // The one phrase plan ranks exactly what PhraseFinder finds.
         let sequential = topk::top_k(
             sort_by_node(tix_exec::phrase::phrase_finder(
                 &store,
@@ -325,10 +321,8 @@ mod tests {
         );
         assert!(!sequential.is_empty());
         let plan = crate::physical::PhysicalPlan::scan(AccessMethod::PhraseFinder);
-        for threads in [1, 2, 8] {
-            let run = execute(&store, &index, &logical, &plan, threads, &|| false).unwrap();
-            assert_eq!(run.results, sequential, "{threads} threads");
-        }
+        let run = execute(&store, &index, &logical, &plan, 1, &|| false).unwrap();
+        assert_eq!(run.results, sequential);
     }
 
     #[test]
@@ -370,18 +364,6 @@ mod tests {
             });
             assert!(late.is_none(), "plan {}", c.plan.label());
             assert!(polls.get() >= 2, "plan {}", c.plan.label());
-        }
-    }
-
-    #[test]
-    fn threads_do_not_change_results() {
-        let (store, index) = fixture();
-        let logical = LogicalPlan::TermSearch(term_search(Scoring::SimpleUniform, 5));
-        let plan = crate::physical::PhysicalPlan::scan(AccessMethod::TermJoin);
-        let one = execute(&store, &index, &logical, &plan, 1, &|| false).unwrap();
-        for threads in [2, 8] {
-            let many = execute(&store, &index, &logical, &plan, threads, &|| false).unwrap();
-            assert_eq!(one, many, "{threads} threads");
         }
     }
 }

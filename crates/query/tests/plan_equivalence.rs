@@ -2,7 +2,7 @@
 //! and randomized queries, **every** physical plan the cost model can
 //! emit is forced through [`tix_query::execute`] and must produce
 //! **byte-identical** ranked output — same nodes, same order, same score
-//! *bits* — at 1, 2, and 8 worker threads.
+//! *bits*.
 //!
 //! This is the proof obligation behind the planner: cost-based choice is
 //! only sound if the choice is unobservable in the results. Exact (not
@@ -142,7 +142,7 @@ fn assert_identical(expected: &[ScoredNode], actual: &[ScoredNode], label: &str)
 }
 
 /// Force every candidate plan for `logical` and assert each one is
-/// byte-identical to the planner's own choice, at every thread count.
+/// byte-identical to the planner's own choice.
 fn assert_all_plans_agree(store: &Store, index: &InvertedIndex, logical: &LogicalPlan) {
     let inputs = PlanInputs::gather(store, index, logical.terms());
     let choice = choose(logical, &inputs);
@@ -150,22 +150,16 @@ fn assert_all_plans_agree(store: &Store, index: &InvertedIndex, logical: &Logica
         .expect("never cancelled")
         .results;
     for candidate in candidates(logical, &inputs) {
-        for threads in [1usize, 2, 8] {
-            let run = execute(store, index, logical, &candidate.plan, threads, &|| false)
-                .expect("never cancelled");
-            assert_identical(
-                &baseline,
-                &run.results,
-                &format!("{} @ {threads} threads", candidate.plan.label()),
-            );
-            assert!(
-                run.postings_scanned <= run.postings_total,
-                "{}: scanned {} > total {}",
-                candidate.plan.label(),
-                run.postings_scanned,
-                run.postings_total
-            );
-        }
+        let run =
+            execute(store, index, logical, &candidate.plan, 1, &|| false).expect("never cancelled");
+        assert_identical(&baseline, &run.results, &candidate.plan.label());
+        assert!(
+            run.postings_scanned <= run.postings_total,
+            "{}: scanned {} > total {}",
+            candidate.plan.label(),
+            run.postings_scanned,
+            run.postings_total
+        );
     }
 }
 

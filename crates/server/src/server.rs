@@ -70,10 +70,6 @@ pub struct ServerConfig {
     pub default_deadline_ms: u64,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
-    /// Worker threads used *inside* one query evaluation. Kept at 1 by
-    /// default: with a pool of concurrent workers, per-request parallelism
-    /// would oversubscribe the machine.
-    pub request_threads: usize,
     /// Expose `/debug/sleep` (used by the saturation and deadline tests
     /// and the load generator's worst-case mode).
     pub debug_endpoints: bool,
@@ -93,7 +89,6 @@ impl Default for ServerConfig {
             cache_capacity: 256,
             default_deadline_ms: 10_000,
             max_body: 1024 * 1024,
-            request_threads: 1,
             debug_endpoints: false,
             durability: DurabilityMode::Strict,
         }
@@ -244,7 +239,6 @@ impl Server {
         if !db.has_index() {
             db.build_index();
         }
-        db.set_threads(config.request_threads.max(1));
         let (applied_lsn, checkpoint_seq, wal_len, durable_lsn) = ingest
             .as_ref()
             .map(|i| {

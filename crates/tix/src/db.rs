@@ -2,10 +2,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use tix_exec::parallel::term_join_parallel;
 use tix_exec::pick::PickParams;
 use tix_exec::scored::{sort_by_node, ScoredNode};
-use tix_exec::termjoin::SimpleScorer;
+use tix_exec::termjoin::{SimpleScorer, TermJoin};
 use tix_index::{IndexReader, InvertedIndex};
 use tix_pack::PackIndex;
 use tix_query::{
@@ -41,20 +40,10 @@ impl IndexRepr {
 /// For full control (custom scorers, the algebra operators, the XQuery
 /// dialect) use the layer crates directly; `Database` just wires the
 /// common paths together.
-///
-/// ## Parallelism
-///
-/// Index construction and every query entry point run document-partitioned
-/// over a configurable number of worker threads — the `TIX_THREADS`
-/// environment variable by default, overridable per database with
-/// [`Database::set_threads`]. Results are **identical** to single-threaded
-/// execution at any thread count (enforced by the equivalence tests in
-/// `tix-exec` and `tix-index`); threads only change wall-clock time.
 #[derive(Debug)]
 pub struct Database {
     store: Store,
     index: Option<IndexRepr>,
-    threads: usize,
     generation: u64,
     /// Planner-statistics cache, keyed by [`Database::generation`] so a
     /// snapshot computed against an older store or index is never reused
@@ -67,7 +56,6 @@ impl Default for Database {
         Database {
             store: Store::new(),
             index: None,
-            threads: tix_parallel::default_threads(),
             generation: 0,
             plan_stats: Mutex::new(None),
         }
@@ -172,20 +160,9 @@ pub struct SearchResponse {
 }
 
 impl Database {
-    /// An empty database using [`tix_parallel::default_threads`] workers.
+    /// An empty database.
     pub fn new() -> Self {
         Database::default()
-    }
-
-    /// Set the worker-thread count for index builds and queries. `1` means
-    /// fully sequential execution on the calling thread.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count used for index builds and queries.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Parse and load a document. Invalidates the index and bumps the
@@ -267,12 +244,13 @@ impl Database {
     }
 
     /// Build (or rebuild) the inverted index over everything loaded,
-    /// fanning per-document extraction out over the configured threads.
-    /// Bumps the [generation](Database::generation).
+    /// fanning per-document extraction out over the machine's available
+    /// parallelism. Bumps the [generation](Database::generation).
     pub fn build_index(&mut self) {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.index = Some(IndexRepr::Mem(InvertedIndex::build_with_threads(
             &self.store,
-            self.threads,
+            threads,
         )));
         self.generation += 1;
     }
@@ -393,7 +371,7 @@ impl Database {
     /// sorted by descending score (ties in document order).
     pub fn term_join(&self, terms: &[&str]) -> Vec<ScoredNode> {
         let scorer = SimpleScorer::uniform();
-        let mut out = term_join_parallel(&self.store, self.index(), terms, &scorer, self.threads);
+        let mut out = TermJoin::new(&self.store, self.index(), terms, &scorer).run();
         out.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
@@ -418,16 +396,6 @@ impl Database {
         request: &SearchRequest,
         cancelled: &dyn Fn() -> bool,
     ) -> Option<SearchResponse> {
-        self.run_on(request, cancelled, self.threads)
-    }
-
-    /// [`Database::run`] on `threads` workers.
-    fn run_on(
-        &self,
-        request: &SearchRequest,
-        cancelled: &dyn Fn() -> bool,
-        threads: usize,
-    ) -> Option<SearchResponse> {
         let (logical, inputs, _) = self.lower(request);
         let choice = tix_query::choose(&logical, &inputs);
         let mut results = tix_query::execute(
@@ -435,7 +403,7 @@ impl Database {
             self.index(),
             &logical,
             &choice.chosen.plan,
-            threads,
+            1,
             cancelled,
         )?
         .results;
@@ -555,10 +523,8 @@ impl Database {
         tix_query::explain::render(&logical, &inputs, &choice, stats.df_histogram.as_ref())
     }
 
-    /// Run [`Database::search`] for several queries, fanning the *queries*
-    /// out over the configured threads (each individual search runs
-    /// sequentially, so workers are never oversubscribed). Results are in
-    /// query order and identical to calling `search` per query.
+    /// Run [`Database::search`] for several queries, in query order;
+    /// results are identical to calling `search` per query.
     ///
     /// Queries that are identical after [`normalize_query`] are
     /// deduplicated before dispatch — the search runs once and the result
@@ -587,12 +553,14 @@ impl Database {
             });
             slot_of.push(slot);
         }
-        let unique_results: Vec<Vec<ScoredNode>> =
-            tix_parallel::parallel_map(&unique, self.threads, |request| {
-                self.run_on(request, &|| false, 1)
+        let unique_results: Vec<Vec<ScoredNode>> = unique
+            .into_iter()
+            .map(|request| {
+                self.run(request, &|| false)
                     .map(|r| r.results)
                     .unwrap_or_default()
-            });
+            })
+            .collect();
         slot_of
             .into_iter()
             .map(|slot| unique_results.get(slot).cloned().unwrap_or_default())
@@ -694,41 +662,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_any_entry_point() {
-        let mut db = multi_doc_db();
-        db.set_threads(1);
-        db.build_index();
-        let term_join = db.term_join(&["rust", "xml"]);
-        let phrase = db.find_phrase(&["rust", "xml"]);
-        let pick = PickParams {
-            relevance_threshold: 1.0,
-            fraction: 0.5,
-        };
-        let search = db.search(&["rust"], pick, 10);
-        let ties = with_ties(&["rust"], pick, 2);
-        let run = db.run(&ties, &|| false);
-        assert!(run.as_ref().is_some_and(|r| r.withheld_bound.is_some()));
-        for threads in [2, 8] {
-            db.set_threads(threads);
-            db.build_index();
-            assert_eq!(
-                db.term_join(&["rust", "xml"]),
-                term_join,
-                "{threads} threads"
-            );
-            assert_eq!(
-                db.find_phrase(&["rust", "xml"]),
-                phrase,
-                "{threads} threads"
-            );
-            assert_eq!(db.search(&["rust"], pick, 10), search, "{threads} threads");
-            assert_eq!(db.run(&ties, &|| false), run, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn search_batch_matches_individual_searches() {
-        let mut db = multi_doc_db();
+        let db = multi_doc_db();
         let pick = PickParams {
             relevance_threshold: 1.0,
             fraction: 0.5,
@@ -739,25 +674,11 @@ mod tests {
             vec!["nosuchterm"],
             vec!["rust", "xml"],
         ];
-        for threads in [1, 2, 8] {
-            db.set_threads(threads);
-            let batch = db.search_batch(&queries, pick, 5);
-            assert_eq!(batch.len(), queries.len());
-            for (terms, result) in queries.iter().zip(&batch) {
-                assert_eq!(
-                    result,
-                    &db.search(terms, pick, 5),
-                    "{terms:?} at {threads} threads"
-                );
-            }
+        let batch = db.search_batch(&queries, pick, 5);
+        assert_eq!(batch.len(), queries.len());
+        for (terms, result) in queries.iter().zip(&batch) {
+            assert_eq!(result, &db.search(terms, pick, 5), "{terms:?}");
         }
-    }
-
-    #[test]
-    fn set_threads_clamps_zero_to_one() {
-        let mut db = Database::new();
-        db.set_threads(0);
-        assert_eq!(db.threads(), 1);
     }
 
     #[test]
@@ -975,13 +896,10 @@ mod tests {
                 min_score: min,
             });
             for c in &choice.candidates {
-                let threads = db.threads();
                 let forced =
-                    tix_query::execute(db.store(), db.index(), &logical, &c.plan, threads, &|| {
-                        false
-                    })
-                    .unwrap()
-                    .results;
+                    tix_query::execute(db.store(), db.index(), &logical, &c.plan, 1, &|| false)
+                        .unwrap()
+                        .results;
                 assert_eq!(forced, chosen, "plan {} diverged", c.plan.label());
             }
         }
