@@ -683,6 +683,10 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                         let v = it.next().ok_or("-t needs a value")?;
                         threshold = v.parse().map_err(|_| format!("bad -t value {v:?}"))?;
                     }
+                    // Terms are alphanumeric, so a `-` argument is a flag.
+                    flag if flag.starts_with('-') => {
+                        return Err(format!("search: unknown flag {flag:?}"))
+                    }
                     term => terms.push(term.to_string()),
                 }
             }
@@ -690,7 +694,11 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         }
         "phrase" => {
             let snapshot = rest.first().ok_or("phrase: snapshot path required")?;
-            commands::phrase(snapshot, &rest[1..])
+            let terms = &rest[1..];
+            if let Some(flag) = terms.iter().find(|arg| arg.starts_with('-')) {
+                return Err(format!("phrase: unknown flag {flag:?}"));
+            }
+            commands::phrase(snapshot, terms)
         }
         "query" => {
             let snapshot = rest.first().ok_or("query: snapshot path required")?;
@@ -1038,6 +1046,22 @@ mod tests {
         fs::write(&bad_query, "For broken $").unwrap();
         let err = dispatch(&["explain".into(), snap, "--query".into(), bad_query]).unwrap_err();
         assert!(err.contains("cannot explain query"), "{err}");
+    }
+
+    #[test]
+    fn search_and_phrase_reject_unknown_flags() {
+        let xml_path = tmp("flags.xml");
+        fs::write(&xml_path, "<a><p>snap rust</p></a>").unwrap();
+        let snap = tmp("flags.snap");
+        dispatch(&["load".into(), snap.clone(), xml_path]).unwrap();
+        for flags in [&["--threads", "2"][..], &["--bogus"]] {
+            for command in ["search", "phrase"] {
+                let mut args: Vec<String> = vec![command.into(), snap.clone()];
+                args.extend(["snap", "rust"].iter().chain(flags).map(|s| s.to_string()));
+                let err = dispatch(&args).unwrap_err();
+                assert_eq!(err, format!("{command}: unknown flag {:?}", flags[0]));
+            }
+        }
     }
 
     #[test]
