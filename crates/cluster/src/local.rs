@@ -33,16 +33,6 @@ pub struct LocalCluster {
     coordinator: Coordinator,
 }
 
-/// Server tuning for in-process nodes: small worker pools so a
-/// 4-shard × 2-replica cluster does not spawn dozens of threads.
-fn node_config() -> ServerConfig {
-    ServerConfig {
-        workers: 2,
-        queue_capacity: 32,
-        ..ServerConfig::default()
-    }
-}
-
 impl LocalCluster {
     /// Boot `shards` primaries with `replicas_per_shard` followers each
     /// under `dir` (`dir/shard-N/primary`, `dir/shard-N/replica-M`),
@@ -52,7 +42,13 @@ impl LocalCluster {
         shards: usize,
         replicas_per_shard: usize,
     ) -> io::Result<LocalCluster> {
-        let node_config = node_config();
+        // Small worker pools, so a 4-shard × 2-replica cluster does not
+        // spawn dozens of threads.
+        let node_config = ServerConfig {
+            workers: 2,
+            queue_capacity: 32,
+            ..ServerConfig::default()
+        };
         let dir = dir.as_ref();
         let shards = shards.max(1);
         let mut groups = Vec::with_capacity(shards);

@@ -119,7 +119,6 @@ fn postings_total(index: &dyn IndexReader, terms: &[&str]) -> u64 {
         .fold(0u64, u64::saturating_add)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_term_search<S: TermJoinScorer>(
     store: &Store,
     index: &dyn IndexReader,
