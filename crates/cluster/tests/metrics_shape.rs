@@ -68,7 +68,6 @@ fn node_metrics_document_keeps_its_key_paths() {
             "commit.max_batch_frames",
             "deadline_expired",
             "endpoints",
-            "endpoints.batch",
             "endpoints.cluster",
             "endpoints.documents",
             "endpoints.explain",

@@ -469,8 +469,7 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let req =
-            parse(b"POST /search/batch HTTP/1.1\r\nContent-Length: 9\r\n\r\nrust\nxml\n").unwrap();
+        let req = parse(b"POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\nrust\nxml\n").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"rust\nxml\n");
     }

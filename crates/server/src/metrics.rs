@@ -176,8 +176,6 @@ pub struct EndpointCounters {
     pub search: AtomicU64,
     /// `/phrase` requests.
     pub phrase: AtomicU64,
-    /// `/search/batch` requests.
-    pub batch: AtomicU64,
     /// `/query` requests.
     pub query: AtomicU64,
     /// `/documents` mutations (POST and DELETE).
@@ -290,7 +288,7 @@ impl Metrics {
                 "\"cache\":{{\"hits\":{},\"misses\":{}}},",
                 "\"queue\":{{\"depth\":{},\"wait\":{}}},",
                 "\"workers\":{{\"busy\":{},\"total\":{},\"utilization\":{:.3}}},",
-                "\"endpoints\":{{\"search\":{},\"phrase\":{},\"batch\":{},\"query\":{},\"documents\":{},\"health\":{},\"metrics\":{},\"explain\":{},\"wal\":{},\"cluster\":{},\"other\":{}}},",
+                "\"endpoints\":{{\"search\":{},\"phrase\":{},\"query\":{},\"documents\":{},\"health\":{},\"metrics\":{},\"explain\":{},\"wal\":{},\"cluster\":{},\"other\":{}}},",
                 "\"latency\":{}}}"
             ),
             load(&a.requests_total),
@@ -325,7 +323,6 @@ impl Metrics {
             utilization,
             load(&self.endpoints.search),
             load(&self.endpoints.phrase),
-            load(&self.endpoints.batch),
             load(&self.endpoints.query),
             load(&self.endpoints.documents),
             load(&self.endpoints.health),

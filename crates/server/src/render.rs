@@ -198,27 +198,6 @@ pub(crate) fn cluster_phrase_body(
     )
 }
 
-/// The `/search/batch` response body: one `/search`-shaped object per
-/// input query, in input order.
-pub fn batch_body(
-    store: &Store,
-    queries: &[Vec<String>],
-    pick: PickParams,
-    k: usize,
-    results: &[Vec<ScoredNode>],
-) -> String {
-    let parts: Vec<String> = queries
-        .iter()
-        .zip(results)
-        .map(|(terms, rs)| search_body(store, terms, pick, k, rs))
-        .collect();
-    format!(
-        "{{\"count\":{},\"queries\":[{}]}}",
-        queries.len(),
-        parts.join(",")
-    )
-}
-
 /// The `/query` (extended-XQuery dialect) response body.
 pub fn query_body(items: &[ResultItem]) -> String {
     let parts: Vec<String> = items

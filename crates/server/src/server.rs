@@ -11,18 +11,15 @@ use std::time::{Duration, Instant};
 
 use tix::query::run_query;
 use tix::store::{LoadError, RemoveError};
-use tix::{normalize_query, Database};
+use tix::Database;
 use tix_ingest::{DurabilityMode, Ingest, IngestError, IngestOptions};
 
 use crate::cache::ResultCache;
 use crate::front::FrontDoor;
 use crate::http::{self, Limits, Request, Response};
 use crate::metrics::Metrics;
-use crate::read::{handle_read, k_and_pick, parse_param, ReadRoute};
+use crate::read::{handle_read, parse_param, ReadRoute};
 use crate::render;
-
-/// Most queries accepted in one `/search/batch` request.
-pub const MAX_BATCH_QUERIES: usize = 512;
 
 /// Largest WAL image one `/wal` response ships (frames are never split,
 /// so a single oversized frame still goes through whole).
@@ -570,7 +567,7 @@ fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
         (
             "GET",
             "/search" | "/phrase" | "/cluster/search" | "/cluster/phrase"
-        ) | ("POST", "/search/batch" | "/query")
+        ) | ("POST", "/query")
     ) {
         if let Some(response) = stale_reject(shared, request) {
             return response;
@@ -609,10 +606,6 @@ fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
             bump(&counters.cluster);
             handle_read(shared, request, ReadRoute::ClusterPhrase, deadline)
         }
-        ("POST", "/search/batch") => {
-            bump(&counters.batch);
-            handle_batch(shared, request, deadline)
-        }
         ("POST", "/query") => {
             bump(&counters.query);
             handle_query(shared, request, deadline)
@@ -642,7 +635,7 @@ fn respond(shared: &Shared, request: &Request, admitted: Instant) -> Response {
             bump(&counters.other);
             Response::error(405, "method not allowed").with_header("Allow", "GET".to_string())
         }
-        (_, "/search/batch" | "/query" | "/documents" | "/admin/checkpoint") => {
+        (_, "/query" | "/documents" | "/admin/checkpoint") => {
             bump(&counters.other);
             Response::error(405, "method not allowed").with_header("Allow", "POST".to_string())
         }
@@ -768,52 +761,6 @@ fn handle_admin_checkpoint(shared: &Shared) -> Response {
 
 pub(crate) fn expired(deadline: Instant) -> bool {
     Instant::now() >= deadline
-}
-
-fn handle_batch(shared: &Shared, request: &Request, deadline: Instant) -> Response {
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Response::error(400, "batch body is not UTF-8");
-    };
-    let queries: Vec<Vec<String>> = text
-        .lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| {
-            let split: Vec<&str> = line.split_whitespace().collect();
-            normalize_query(&split)
-        })
-        .collect();
-    if queries.is_empty() {
-        return Response::error(400, "batch body has no queries (one per line)");
-    }
-    if queries.len() > MAX_BATCH_QUERIES {
-        return Response::error(
-            400,
-            &format!(
-                "batch of {} exceeds the {MAX_BATCH_QUERIES}-query cap",
-                queries.len()
-            ),
-        );
-    }
-    let (k, pick) = match k_and_pick(request) {
-        Ok(k_and_pick) => k_and_pick,
-        Err(response) => return response,
-    };
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    let db = read_lock(&shared.db);
-    let query_refs: Vec<Vec<&str>> = queries
-        .iter()
-        .map(|q| q.iter().map(String::as_str).collect())
-        .collect();
-    let results = db.search_batch(&query_refs, pick, k);
-    if expired(deadline) {
-        return Response::error(504, "deadline exceeded");
-    }
-    Response::json(
-        200,
-        render::batch_body(db.store(), &queries, pick, k, &results),
-    )
 }
 
 fn handle_query(shared: &Shared, request: &Request, deadline: Instant) -> Response {
