@@ -88,10 +88,10 @@ pub fn encode_component(value: &str) -> String {
 }
 
 /// Rebuild a query string (`a=1&b=two%20words`) from decoded pairs.
-pub fn encode_query(params: &[(&str, &str)]) -> String {
+pub fn encode_query<V: AsRef<str>>(params: &[(&str, V)]) -> String {
     params
         .iter()
-        .map(|(k, v)| format!("{}={}", encode_component(k), encode_component(v)))
+        .map(|(k, v)| format!("{}={}", encode_component(k), encode_component(v.as_ref())))
         .collect::<Vec<_>>()
         .join("&")
 }
@@ -99,6 +99,11 @@ pub fn encode_query(params: &[(&str, &str)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tix::exec::pick::PickParams;
+    use tix::{ReadKind, SearchRequest};
+    use tix_server::http::{read_request, Limits};
+    use tix_server::read::{encode_read, parse_read, ReadRoute};
 
     #[test]
     fn non_utf8_body_is_not_json() {
@@ -133,5 +138,87 @@ mod tests {
             encode_query(&[("q", "rust xml"), ("k", "5")]),
             "q=rust%20xml&k=5"
         );
+    }
+
+    /// Floats that must cross the wire bit for bit: signed zeros, both
+    /// infinities, NaN, and arbitrary bit patterns (NaN payloads folded
+    /// to the one NaN the decimal form can carry).
+    fn wire_float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(0.5),
+            any::<u64>().prop_map(|bits| {
+                let x = f64::from_bits(bits);
+                if x.is_nan() {
+                    f64::NAN
+                } else {
+                    x
+                }
+            }),
+        ]
+    }
+
+    /// A read as the bits that must survive: terms, `k`, `ties`, the
+    /// kind with Pick's parameters as raw bits, and `min_score`'s bits.
+    type ReadBits = (Vec<String>, usize, bool, Option<(u64, u64)>, Option<u64>);
+
+    fn bits(read: &SearchRequest) -> ReadBits {
+        let pick = match read.kind {
+            ReadKind::Terms { pick } => {
+                Some((pick.relevance_threshold.to_bits(), pick.fraction.to_bits()))
+            }
+            ReadKind::Phrase => None,
+        };
+        (
+            read.terms().to_vec(),
+            read.k,
+            read.ties,
+            pick,
+            read.min_score.map(f64::to_bits),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What a shard's parser reads back from the coordinator's
+        /// encoding is the read the coordinator parsed.
+        #[test]
+        fn encoded_reads_parse_back_bit_for_bit(
+            terms in prop::collection::vec("[a-zA-Z0-9&+%=#?.~éü漢-]{1,6}", 1..5),
+            k in prop_oneof![Just(0usize), Just(1), Just(usize::MAX), any::<usize>()],
+            threshold in wire_float(),
+            fraction in wire_float(),
+            min_score in prop::option::of(wire_float()),
+            phrase in any::<bool>(),
+            ties in any::<bool>(),
+        ) {
+            let (read, route) = if phrase && terms.len() >= 2 {
+                (SearchRequest::phrase(&terms), ReadRoute::Phrase)
+            } else {
+                let pick = PickParams {
+                    relevance_threshold: threshold,
+                    fraction,
+                };
+                let mut read = SearchRequest::search(&terms, pick, k, min_score);
+                read.ties = ties;
+                let route = if ties { ReadRoute::ClusterSearch } else { ReadRoute::Search };
+                (read, route)
+            };
+            let raw = format!(
+                "GET /r?{} HTTP/1.1\r\n\r\n",
+                encode_query(&encode_read(&read))
+            );
+            let request = read_request(&mut raw.as_bytes(), &Limits::default()).unwrap();
+            let parsed = match parse_read(&request, route) {
+                Ok(parsed) => parsed,
+                Err(response) => panic!("{raw:?}: {response:?}"),
+            };
+            prop_assert_eq!(bits(&parsed), bits(&read));
+        }
     }
 }
