@@ -156,9 +156,9 @@ fn canonical_phrase_cmp(a: &PhraseHit, b: &PhraseHit) -> Ordering {
 /// canonical order, verifying the §4.2 merge-bound condition (under
 /// `check-invariants`): the global k-th kept score must be ≥ every
 /// truncated shard's exclusive bound, which proves no withheld score
-/// could enter the top-k.
+/// could enter the top-k. At `k = 0` nothing is kept, so there is
+/// nothing a withheld score could displace.
 pub fn merge_search(shards: &[ShardSearch], k: usize) -> Vec<Hit> {
-    let k = k.max(1);
     let mut all: Vec<Hit> = shards.iter().flat_map(|s| s.hits.iter().cloned()).collect();
     all.sort_by(canonical_cmp);
     all.truncate(k);
@@ -286,7 +286,6 @@ pub fn expected_search_body_above(
     k: usize,
     min_score: Option<f64>,
 ) -> String {
-    let k = k.max(1);
     let all = db
         .search_filtered(terms, pick, usize::MAX, min_score, &|| false)
         .unwrap_or_default();
@@ -366,6 +365,20 @@ mod tests {
         );
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.last().unwrap().score(), 2.0);
+    }
+
+    #[test]
+    fn merge_at_k_zero_keeps_nothing() {
+        // Every shard truncated, with bounds above every kept score: at
+        // k = 0 no hit is kept, so no bound can be violated.
+        let merged = merge_search(
+            &[
+                shard(Some(5.0), vec![hit("a", 1, 6.0)]),
+                shard(Some(9.0), vec![hit("b", 1, 10.0)]),
+            ],
+            0,
+        );
+        assert!(merged.is_empty());
     }
 
     #[test]

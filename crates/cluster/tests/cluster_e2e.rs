@@ -69,6 +69,11 @@ fn writes_route_by_name_hash_and_reads_see_every_shard() {
         names.iter().map(|n| tix_cluster::shard_of(n, 2)).collect();
     assert_eq!(shards_hit.len(), 2, "hits from one shard only: {names:?}");
 
+    // `k=0` asks for no results, and gets none, as from a node.
+    let (status, body) = cluster.get("/search?q=alpha&k=0").unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, "{\"k\":0,\"count\":0,\"results\":[]}");
+
     // Phrase scatter-gather: "alpha beta" occurs on specific documents.
     let (status, body) = cluster.get("/phrase?q=alpha+beta").unwrap();
     assert_eq!(status, 200, "{body}");
